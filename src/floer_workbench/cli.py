@@ -19,8 +19,8 @@ from . import complexes, connect_sum, fixtures, invariants, lattice, polyid
 from .complexes import InvalidDataError, Kind
 from .connect_sum import SignConfig, SignSearchError
 from .fixtures import FixtureError, ParseError, SemanticError
-from .homology import (DegreeMismatch, DescentObstruction, boundary_basis,
-                       cycle_basis, euler_characteristic_mod2,
+from .homology import (DegreeMismatch, DescentObstruction, cycle_basis,
+                       euler_characteristic_mod2,
                        homology as graded_homology, pair, reduce_to_homology)
 from .lattice import LatticeError
 from .linalg import RatMatrix, format_rational
@@ -131,7 +131,7 @@ def _load_data(fixture, path, u_param, check=True):
         try:
             with open(path, "r", encoding="utf-8") as fh:
                 text = fh.read()
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise UsageError("cannot read %s: %s" % (path, exc)) from None
         return fixtures.parse(text, check=check), "file %s" % path
     raise UsageError("pass --fixture NAME or --file PATH")
@@ -202,8 +202,8 @@ def cmd_homology(args) -> int:
     rep.add("dims", _dims(space.dims))
     rep.add("total-dim", space.total_dim)
     for r in range(8):
-        cyc = len(cycle_basis(data.complex, r))
-        bnd = len(boundary_basis(data.complex, r))
+        cyc = len(space.cycles[r])
+        bnd = len(space.boundaries[r])
         if cyc or bnd:
             rep.add("degree %d" % r,
                     "cycles %d boundaries %d homology %d" % (cyc, bnd, space.dims[r]))
@@ -529,6 +529,16 @@ def cmd_fixtures(args) -> int:
 # parser
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("expected an integer, got %r" % (text,)) from None
+    if value < 1:
+        raise argparse.ArgumentTypeError("must be at least 1, got %d" % value)
+    return value
+
+
 def _add_input_args(p):
     p.add_argument("--fixture", help="builtin fixture name, e.g. Pplus or NilpotentLadder:2")
     p.add_argument("--file", help="path to a fixture document")
@@ -608,7 +618,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--functional-r", dest="functional_c", help="right functional generator")
 
     p = sub.add_parser("poly-identities", help="telescoping and triple identities")
-    p.add_argument("--max-n", type=int, default=5)
+    p.add_argument("--max-n", type=_positive_int, default=5)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("fixtures", help="list, emit, or generate fixture documents")

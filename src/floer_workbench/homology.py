@@ -1,9 +1,15 @@
 """Graded homology and reduction of FloerData onto its homology.
 
-Representatives are picked degree by degree: seed an exact solver with a
-canonical basis of the boundary space, then sweep the canonical kernel basis
-and keep each cycle's reduced remainder.  The choices depend only on the
-generator order, so repeated runs agree entry for entry.
+One pass per complex restricts the differential to the columns of each
+nonempty degree block once; that block's canonical kernel basis is the
+cycles in its degree and its canonical image basis the boundaries one degree
+down.  homology() keeps both on the space it returns, so reduce_to_homology
+and the CLI report read them instead of eliminating the blocks again.
+
+Representatives are picked degree by degree: seed an exact solver with the
+boundary basis, then sweep the cycle basis and keep each cycle's reduced
+remainder.  The choices depend only on the generator order, so repeated runs
+agree entry for entry.
 """
 
 from __future__ import annotations
@@ -30,11 +36,15 @@ class GradedVectorSpace:
     """Homology presented by residue: dimensions and cycle representatives.
 
     representatives[r] is a list of chain vectors (over the original
-    generators), one per homology class in degree r.
+    generators), one per homology class in degree r.  cycles[r] and
+    boundaries[r] are the canonical bases of the degree-r cycles and
+    boundaries they were chosen from.
     """
 
     dims: dict
     representatives: dict
+    cycles: dict
+    boundaries: dict
 
     @property
     def total_dim(self) -> int:
@@ -44,12 +54,9 @@ class GradedVectorSpace:
         return {r: n for r, n in sorted(self.dims.items()) if n}
 
 
-def _restrict_columns(m: RatMatrix, cols: list) -> RatMatrix:
-    entries = {}
-    for local, c in enumerate(cols):
-        for r, v in m.column(c).items():
-            entries[(r, local)] = v
-    return RatMatrix(m.rows, len(cols), entries)
+def _lift(cols: list, local: list) -> list:
+    """Block-local vectors as chain vectors over all generators."""
+    return [{cols[i]: v for i, v in vec.items()} for vec in local]
 
 
 def cycle_basis(cx: GradedComplex, residue: int) -> list:
@@ -57,9 +64,7 @@ def cycle_basis(cx: GradedComplex, residue: int) -> list:
     cols = cx.indices_in_degree(residue)
     if not cols:
         return []
-    sub = _restrict_columns(cx.differential, cols)
-    local = kernel_basis(sub)
-    return [{cols[i]: v for i, v in vec.items()} for vec in local]
+    return _lift(cols, kernel_basis(cx.differential.restrict_columns(cols)))
 
 
 def boundary_basis(cx: GradedComplex, residue: int) -> list:
@@ -67,26 +72,52 @@ def boundary_basis(cx: GradedComplex, residue: int) -> list:
     cols = cx.indices_in_degree((residue + 1) % DEGREE_MOD)
     if not cols:
         return []
-    sub = _restrict_columns(cx.differential, cols)
-    return image_basis(sub)
+    return image_basis(cx.differential.restrict_columns(cols))
+
+
+def _block_bases(cx: GradedComplex) -> tuple:
+    """(cycles, boundaries) by residue, restricting each nonempty block once.
+
+    The block in degree r yields the degree-r cycles and, since d lowers
+    degree by one, the boundaries in degree r - 1.
+    """
+    blocks = {}
+    for i, r in enumerate(cx.degrees):
+        blocks.setdefault(r, []).append(i)
+    cycles = {r: [] for r in range(DEGREE_MOD)}
+    boundaries = {r: [] for r in range(DEGREE_MOD)}
+    for r, cols in sorted(blocks.items()):
+        sub = cx.differential.restrict_columns(cols)
+        cycles[r] = _lift(cols, kernel_basis(sub))
+        boundaries[(r - 1) % DEGREE_MOD] = image_basis(sub)
+    return cycles, boundaries
 
 
 def homology(cx: GradedComplex) -> GradedVectorSpace:
-    """Graded homology with reduced cycle representatives per degree."""
+    """Graded homology with reduced cycle representatives per degree.
+
+    cx must be a complex (d o d = 0), which callers establish by validation
+    or by construction.
+    """
+    cycles, boundaries = _block_bases(cx)
     dims = {}
     reps = {}
     for r in range(DEGREE_MOD):
-        solver = LinearSolver()
-        for b in boundary_basis(cx, r):
-            solver.add(b)
         chosen = []
-        for z in cycle_basis(cx, r):
-            reduced = solver.add(z)
-            if reduced is not None:
-                chosen.append(reduced)
+        # d o d = 0 puts the boundaries inside the cycles, so equal counts
+        # leave no class to choose and the sweep is skipped
+        if len(cycles[r]) > len(boundaries[r]):
+            solver = LinearSolver()
+            for b in boundaries[r]:
+                solver.add(b)
+            for z in cycles[r]:
+                reduced = solver.add(z)
+                if reduced is not None:
+                    chosen.append(reduced)
         dims[r] = len(chosen)
         reps[r] = chosen
-    return GradedVectorSpace(dims=dims, representatives=reps)
+    return GradedVectorSpace(dims=dims, representatives=reps,
+                             cycles=cycles, boundaries=boundaries)
 
 
 def pair(f: Vector, x: Vector, degrees: Optional[dict] = None) -> Fraction:
@@ -107,14 +138,15 @@ def pair(f: Vector, x: Vector, degrees: Optional[dict] = None) -> Fraction:
 def _homology_solvers(cx: GradedComplex, space: GradedVectorSpace) -> dict:
     """Per-residue solvers seeded with boundaries, then representatives.
 
-    express() coefficients with id >= the boundary count give the coordinates
-    of a cycle in the chosen homology basis.
+    The boundaries are the ones homology() kept on space, so no block is
+    eliminated again.  express() coefficients with id >= the boundary count
+    give the coordinates of a cycle in the chosen homology basis.
     """
     solvers = {}
     for r in range(DEGREE_MOD):
         solver = LinearSolver()
         nb = 0
-        for b in boundary_basis(cx, r):
+        for b in space.boundaries[r]:
             solver.add(b)
             nb += 1
         for h in space.representatives[r]:

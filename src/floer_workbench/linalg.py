@@ -1,14 +1,25 @@
 """Sparse exact linear algebra over the rationals.
 
 Vectors are plain dicts mapping index -> Fraction, with zero entries never
-stored.  Matrices are immutable sparse maps (row, col) -> Fraction.  All
-eliminations are exact; nothing in this package ever touches a float.
+stored.  Matrices are immutable sparse maps (row, col) -> Fraction; each
+builds its column-major and row-major views once, on first use, since an
+instance never changes.  All eliminations are exact; nothing in this package
+ever touches a float.
+
+rref_rows, kernel_basis and image_basis share one integer-preserving
+eliminator: each incoming row is scaled once to a primitive integer row,
+eliminated with fraction-free updates row := p*row - c*other followed by
+division by the gcd of its entries, and turned back into Fractions only
+when the output is normalised to pivot 1.  The output is the unique reduced
+row echelon form of the span, so it does not depend on the row order or on
+the elimination path.
 """
 
 from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Iterable, Mapping, Optional
 
 Vector = dict  # index -> Fraction, zeros omitted
@@ -83,10 +94,11 @@ class RatMatrix:
     """Immutable sparse rational matrix.
 
     entries maps (row, col) -> nonzero Fraction.  Construction drops zeros
-    and validates index bounds; afterwards instances are treated as frozen.
+    and validates index bounds; afterwards instances are treated as frozen,
+    which is what makes the lazily built line views safe to cache.
     """
 
-    __slots__ = ("rows", "cols", "entries")
+    __slots__ = ("rows", "cols", "entries", "_by_col", "_by_row")
 
     def __init__(self, rows: int, cols: int, entries: Optional[Mapping] = None):
         if rows < 0 or cols < 0:
@@ -101,6 +113,8 @@ class RatMatrix:
             if q:
                 clean[(r, c)] = q
         object.__setattr__(self, "entries", clean)
+        object.__setattr__(self, "_by_col", None)
+        object.__setattr__(self, "_by_row", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatMatrix is immutable")
@@ -197,39 +211,72 @@ class RatMatrix:
             out = out @ self
         return out
 
+    def _column_view(self) -> dict:
+        """col -> {row: value} over the nonzero columns, built once."""
+        if self._by_col is None:
+            object.__setattr__(self, "_by_col", _group_lines(self.entries, 1))
+        return self._by_col
+
+    def _row_view(self) -> dict:
+        """row -> {col: value} over the nonzero rows, built once."""
+        if self._by_row is None:
+            object.__setattr__(self, "_by_row", _group_lines(self.entries, 0))
+        return self._by_row
+
     def apply(self, v: Vector) -> Vector:
         """Matrix times column vector."""
-        by_col = {}
-        for (r, c), val in self.entries.items():
-            by_col.setdefault(c, []).append((r, val))
-        acc = {}
-        for c, coeff in v.items():
-            for r, val in by_col.get(c, ()):
-                s = acc.get(r, 0) + coeff * val
-                if s:
-                    acc[r] = s
-                else:
-                    acc.pop(r, None)
-        return acc
+        return _combine(self._column_view(), v)
 
     def apply_functional(self, f: Vector) -> Vector:
         """Row vector times matrix (pullback of a functional)."""
-        return self.transpose().apply(f)
+        return _combine(self._row_view(), f)
 
     def column(self, c: int) -> Vector:
-        return {r: v for (r, cc), v in self.entries.items() if cc == c}
+        return dict(self._column_view().get(c, {}))
 
     def columns(self) -> list:
-        out = [dict() for _ in range(self.cols)]
-        for (r, c), v in self.entries.items():
-            out[c][r] = v
-        return out
+        view = self._column_view()
+        return [dict(view.get(c, {})) for c in range(self.cols)]
+
+    def restrict_columns(self, cols: list) -> "RatMatrix":
+        """Submatrix on the given columns, renumbered 0, 1, ... in that order."""
+        view = self._column_view()
+        entries = {}
+        for local, c in enumerate(cols):
+            for r, v in view.get(c, {}).items():
+                entries[(r, local)] = v
+        return RatMatrix(self.rows, len(cols), entries)
 
     def to_dense(self) -> list:
         return [[self.entries.get((r, c), Fraction(0)) for c in range(self.cols)] for r in range(self.rows)]
 
     def __repr__(self):
         return "RatMatrix(%d, %d, %d nonzero)" % (self.rows, self.cols, len(self.entries))
+
+
+def _group_lines(entries: dict, axis: int) -> dict:
+    """Split (row, col) entries into lines along axis 0 (rows) or 1 (columns);
+    each line keeps the entries' insertion order."""
+    lines = {}
+    for key, v in entries.items():
+        line = lines.get(key[axis])
+        if line is None:
+            line = lines[key[axis]] = {}
+        line[key[1 - axis]] = v
+    return lines
+
+
+def _combine(lines: dict, coeffs: Vector) -> Vector:
+    """Sum of coeffs[k] * lines[k], zeros dropped."""
+    acc = {}
+    for k, coeff in coeffs.items():
+        for idx, val in lines.get(k, {}).items():
+            s = acc.get(idx, 0) + coeff * val
+            if s:
+                acc[idx] = s
+            else:
+                acc.pop(idx, None)
+    return acc
 
 
 def outer(v: Vector, f: Vector, rows: int, cols: int) -> RatMatrix:
@@ -367,43 +414,73 @@ def rank(m: RatMatrix) -> int:
     return _markowitz_rank(m.entries)
 
 
+def _primitive(row: dict) -> None:
+    """Divide an integer row by the gcd of its entries, in place."""
+    g = gcd(*row.values())
+    if g > 1:
+        for idx, val in row.items():
+            row[idx] = val // g
+
+
+def _eliminate(row: dict, other: dict, pivot: int) -> None:
+    """row := p*row - c*other with c = row[pivot] and p = other[pivot], both
+    divided by their gcd; clears row[pivot] and keeps every entry an int."""
+    c, p = row[pivot], other[pivot]
+    g = gcd(c, p)
+    c, p = c // g, p // g
+    if p != 1:
+        for idx, val in row.items():
+            row[idx] = p * val
+    for idx, val in other.items():
+        s = row.get(idx, 0) - c * val
+        if s:
+            row[idx] = s
+        else:
+            del row[idx]
+
+
+def _integer_rref(row_vectors: Iterable[Vector]) -> dict:
+    """pivot -> primitive integer row, for the reduced echelon form of the span.
+
+    Each row's pivot is its smallest index and every row is zero at the
+    other rows' pivots; dividing a row by its pivot entry gives the RREF
+    row.  Rational input rows are cleared of denominators once, on entry.
+    """
+    basis = {}
+    for raw in row_vectors:
+        den = lcm(*(v.denominator for v in raw.values()))
+        row = {idx: v.numerator * (den // v.denominator) for idx, v in raw.items() if v}
+        # basis rows are zero at each other's pivots, so clearing one hit
+        # pivot never creates another
+        for pivot in [idx for idx in row if idx in basis]:
+            _eliminate(row, basis[pivot], pivot)
+        if not row:
+            continue
+        _primitive(row)
+        pivot = min(row)
+        for other in basis.values():
+            if pivot in other:
+                _eliminate(other, row, pivot)
+                _primitive(other)
+        basis[pivot] = row
+    return basis
+
+
 def rref_rows(row_vectors: Iterable[Vector]) -> list:
     """Canonical reduced row echelon basis of the span of the given rows.
 
     The output depends only on the row span: fully reduced, pivot entries 1,
-    rows ordered by pivot column.
+    rows ordered by pivot column and entries by index.  Elimination runs on
+    integer rows (see the module docstring); Fractions are built only here,
+    once per output entry.
     """
-    basis = []  # (pivot, row)
-    for raw in row_vectors:
-        row = dict(raw)
-        for pivot, other in basis:
-            coeff = row.get(pivot)
-            if coeff:
-                for idx, val in other.items():
-                    s = row.get(idx, 0) - coeff * val
-                    if s:
-                        row[idx] = s
-                    else:
-                        row.pop(idx, None)
-        if not row:
-            continue
-        pivot = min(row)
-        inv = 1 / row[pivot]
-        row = {idx: inv * val for idx, val in row.items()}
-        for i, (p, other) in enumerate(basis):
-            coeff = other.get(pivot)
-            if coeff:
-                new = dict(other)
-                for idx, val in row.items():
-                    s = new.get(idx, 0) - coeff * val
-                    if s:
-                        new[idx] = s
-                    else:
-                        new.pop(idx, None)
-                basis[i] = (p, new)
-        basis.append((pivot, row))
-        basis.sort(key=lambda t: t[0])
-    return [row for _, row in basis]
+    basis = _integer_rref(row_vectors)
+    out = []
+    for pivot in sorted(basis):
+        row = basis[pivot]
+        lead = row[pivot]
+        out.append({idx: Fraction(row[idx], lead) for idx in sorted(row)})
+    return out
 
 
 def kernel_basis(m: RatMatrix) -> list:
@@ -413,27 +490,20 @@ def kernel_basis(m: RatMatrix) -> list:
     at its free column and is supported elsewhere only on pivot columns, so
     the family is in reduced (column) echelon shape and reproducible.
     """
-    rows = {}
-    for (r, c), v in m.entries.items():
-        rows.setdefault(r, {})[c] = v
-    reduced = rref_rows(rows.values())
-    pivots = {min(row): row for row in reduced}
-    basis = []
-    for c in range(m.cols):
-        if c in pivots:
-            continue
-        vec = {c: Fraction(1)}
-        for p, row in pivots.items():
-            coeff = row.get(c)
-            if coeff:
-                vec[p] = -coeff
-        basis.append(vec)
-    return basis
+    basis = _integer_rref(m._row_view().values())
+    free = {c: {c: Fraction(1)} for c in range(m.cols) if c not in basis}
+    for pivot in sorted(basis):
+        row = basis[pivot]
+        lead = row[pivot]
+        for c, val in row.items():
+            if c != pivot:
+                free[c][pivot] = Fraction(-val, lead)
+    return list(free.values())
 
 
 def image_basis(m: RatMatrix) -> list:
     """Canonical basis of the column space (reduced echelon over columns)."""
-    return rref_rows(m.columns())
+    return rref_rows(m._column_view().values())
 
 
 def solve_columns(m: RatMatrix, b: Vector) -> Optional[Vector]:

@@ -96,6 +96,23 @@ def test_exit_two_on_usage_errors(capsys):
     assert run(capsys, "nonsense")[0] == 2
 
 
+def test_exit_two_on_non_utf8_file(tmp_path, capsys):
+    doc = tmp_path / "binary.fx"
+    doc.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "validate", "--file", str(doc))
+    assert code == 2
+    assert out == ""
+    assert "cannot read" in err
+
+
+@pytest.mark.parametrize("max_n", ["-5", "0", "two"])
+def test_poly_identities_rejects_max_n_below_one(capsys, max_n):
+    code, out, err = run(capsys, "poly-identities", "--max-n", max_n)
+    assert code == 2
+    assert out == ""
+    assert "--max-n" in err
+
+
 # ---------------------------------------------------------------------------
 # reports
 

@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 
@@ -9,6 +10,7 @@ from floer_workbench.complexes import (
     Kind,
     validate,
 )
+from floer_workbench.connect_sum import connected_sum_complex
 from floer_workbench.fixtures import builtin, random_admissible, random_valid
 from floer_workbench.homology import (
     DegreeMismatch,
@@ -209,3 +211,49 @@ def test_homology_dim_bounded_by_generators():
         assert space.total_dim <= data.size
         if data.complex.differential.is_zero():
             assert space.total_dim == data.size
+
+
+def _record_eliminations(monkeypatch) -> list:
+    """Wrap the block restriction and the eliminators homology() calls; each
+    call appends (name, number of columns of the block)."""
+    module = importlib.import_module("floer_workbench.homology")
+    calls = []
+    for name in ("kernel_basis", "image_basis"):
+        def counted(m, name=name, original=getattr(module, name)):
+            calls.append((name, m.cols))
+            return original(m)
+        monkeypatch.setattr(module, name, counted)
+
+    def restrict(m, cols, original=RatMatrix.restrict_columns):
+        calls.append(("restrict_columns", len(cols)))
+        return original(m, cols)
+    monkeypatch.setattr(RatMatrix, "restrict_columns", restrict)
+    return calls
+
+
+def _one_pass(cx) -> list:
+    """One restriction, one kernel and one image per nonempty degree block."""
+    return sorted((name, n) for n in cx.dims_by_degree().values()
+                  for name in ("image_basis", "kernel_basis", "restrict_columns"))
+
+
+def test_homology_eliminates_each_degree_block_once(monkeypatch):
+    calls = _record_eliminations(monkeypatch)
+    model = builtin("nPplusModel:3")
+    self_sum = connected_sum_complex(model, model).total
+    ladder = builtin("NilpotentLadder:4").complex
+    for cx, blocks in ((self_sum, [18, 18, 24, 24]), (ladder, [4, 4])):
+        calls.clear()
+        homology(cx)
+        assert sorted(cx.dims_by_degree().values()) == blocks
+        assert sorted(calls) == _one_pass(cx)
+
+
+def test_reduce_to_homology_adds_no_second_pass(monkeypatch):
+    calls = _record_eliminations(monkeypatch)
+    for spec in ("nPplusModel:3", "NilpotentLadder:4"):
+        data = builtin(spec)
+        calls.clear()
+        reduce_to_homology(data)
+        assert sorted(calls) == _one_pass(data.complex)
+        assert len(calls) == 6

@@ -145,9 +145,146 @@ def test_rref_rows_idempotent():
     assert rref_rows(once) == once
 
 
+def test_cached_line_views_match_dense():
+    rng = random.Random(4096)
+    for _ in range(30):
+        rows, cols = rng.randint(0, 6), rng.randint(0, 6)
+        m = RatMatrix(rows, cols, {(i, j): Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                                   for i in range(rows) for j in range(cols)
+                                   if rng.random() < 0.5})
+        d = m.to_dense()
+        v = {j: Fraction(rng.randint(-3, 3)) for j in range(cols) if rng.random() < 0.6}
+        f = {i: Fraction(rng.randint(-3, 3)) for i in range(rows) if rng.random() < 0.6}
+        for _ in range(2):  # the second pass reads the cached views
+            assert m.columns() == [m.column(j) for j in range(cols)]
+            for j in range(cols):
+                assert m.column(j) == {i: d[i][j] for i in range(rows) if d[i][j]}
+            assert m.apply(v) == vector({i: sum(d[i][j] * c for j, c in v.items())
+                                         for i in range(rows)})
+            assert m.apply_functional(f) == vector({j: sum(c * d[i][j] for i, c in f.items())
+                                                    for j in range(cols)})
+            picked = rng.sample(range(cols), rng.randint(0, cols))
+            sub = m.restrict_columns(picked)
+            assert sub.to_dense() == [[row[j] for j in picked] for row in d]
+        if cols:
+            m.column(0).clear()  # callers get copies, never the cached view
+            assert m.column(0) == {i: d[i][0] for i in range(rows) if d[i][0]}
+
+
 def test_zero_dimension_edges():
     empty = RatMatrix.zero(0, 3)
     assert rank(empty) == 0
     assert len(kernel_basis(empty)) == 3
     tall = RatMatrix.zero(3, 0)
     assert kernel_basis(tall) == []
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free eliminator against the plain-Fraction routine it replaced
+
+
+def _reference_rref(row_vectors):
+    """Incremental Gauss-Jordan elimination over Fraction, as rref_rows was
+    before it became fraction-free; kept here only as the oracle."""
+    basis = []  # (pivot, row)
+    for raw in row_vectors:
+        row = dict(raw)
+        for pivot, other in basis:
+            coeff = row.get(pivot)
+            if coeff:
+                for idx, val in other.items():
+                    s = row.get(idx, 0) - coeff * val
+                    if s:
+                        row[idx] = s
+                    else:
+                        row.pop(idx, None)
+        if not row:
+            continue
+        pivot = min(row)
+        inv = 1 / row[pivot]
+        row = {idx: inv * val for idx, val in row.items()}
+        for i, (p, other) in enumerate(basis):
+            coeff = other.get(pivot)
+            if coeff:
+                new = dict(other)
+                for idx, val in row.items():
+                    s = new.get(idx, 0) - coeff * val
+                    if s:
+                        new[idx] = s
+                    else:
+                        new.pop(idx, None)
+                basis[i] = (p, new)
+        basis.append((pivot, row))
+        basis.sort(key=lambda t: t[0])
+    return [row for _, row in basis]
+
+
+def _reference_kernel(m):
+    rows = {}
+    for (r, c), v in m.entries.items():
+        rows.setdefault(r, {})[c] = v
+    pivots = {min(row): row for row in _reference_rref(rows.values())}
+    basis = []
+    for c in range(m.cols):
+        if c in pivots:
+            continue
+        vec = {c: Fraction(1)}
+        for p, row in pivots.items():
+            if row.get(c):
+                vec[p] = -row[c]
+        basis.append(vec)
+    return basis
+
+
+def _random_eliminator_input(rng):
+    """Sparse rational rows with negative and non-integer entries, plus
+    zero rows, duplicates and combinations of earlier rows."""
+    cols = rng.randint(1, 9)
+    rows = []
+    for _ in range(rng.randint(0, 9)):
+        roll = rng.random()
+        if roll < 0.1:
+            rows.append({})
+        elif roll < 0.25 and rows:
+            rows.append(dict(rng.choice(rows)))
+        elif roll < 0.4 and len(rows) >= 2:
+            a, b = rng.sample(rows, 2)
+            ca = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            cb = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+            rows.append(vec_add(vec_scale(ca, a), vec_scale(cb, b)))
+        else:
+            rows.append({j: Fraction(rng.choice([-1, 1]) * rng.randint(1, 30),
+                                     rng.choice([1, 1, 2, 3, 7, 12]))
+                         for j in range(cols) if rng.random() < 0.45})
+    return cols, rows
+
+
+def test_eliminator_matches_fraction_reference():
+    rng = random.Random(19680101)
+    for _ in range(300):
+        cols, rows = _random_eliminator_input(rng)
+        expected = _reference_rref(rows)
+        got = rref_rows(rows)
+        assert got == expected
+        assert all(type(v) is Fraction for row in got for v in row.values())
+        # the output is canonical: independent of the order of the rows
+        assert rref_rows(reversed(rows)) == expected
+        m = RatMatrix(len(rows), cols,
+                      {(i, j): v for i, row in enumerate(rows) for j, v in row.items()})
+        assert kernel_basis(m) == _reference_kernel(m)
+        assert image_basis(m) == _reference_rref(m.columns())
+
+
+def test_eliminator_matches_sympy_rref():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(1968)
+    for _ in range(40):
+        cols, rows = _random_eliminator_input(rng)
+        if not rows:
+            continue
+        dense_rows = [[sympy.Rational(row[j].numerator, row[j].denominator) if j in row else 0
+                       for j in range(cols)] for row in rows]
+        reduced, _ = sympy.Matrix(dense_rows).rref()
+        expected = [{j: Fraction(int(x.p), int(x.q)) for j, x in enumerate(reduced.row(i)) if x}
+                    for i in range(reduced.rows)]
+        assert rref_rows(rows) == [row for row in expected if row]
