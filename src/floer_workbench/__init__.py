@@ -20,7 +20,6 @@ from .complexes import (
     require_valid,
     dualize,
     structurally_equal,
-    evaluate_functional,
 )
 from .homology import (
     GradedVectorSpace,
@@ -82,7 +81,6 @@ from .fixtures import (
 from .lattice import (
     LatticeError,
     LatticeVector,
-    W2Class,
     EtaResult,
     from_coords,
     zero,
@@ -104,7 +102,7 @@ __version__ = "0.1.0"
 __all__ = [
     "Kind", "GradedComplex", "FloerData", "Violation", "ValidationReport",
     "InvalidDataError", "u_chain_residual", "validate", "require_valid",
-    "dualize", "structurally_equal", "evaluate_functional",
+    "dualize", "structurally_equal",
     "GradedVectorSpace", "DescentObstruction", "DegreeMismatch",
     "cycle_basis", "boundary_basis", "homology", "pair", "class_coordinates",
     "reduce_to_homology", "euler_characteristic_mod2",
@@ -119,7 +117,7 @@ __all__ = [
     "split_fixture_spec", "builtin", "fixture_description",
     "distinguished_generators", "random_admissible", "random_homology_sphere",
     "random_valid", "random_nilpotent_phi", "serialize", "parse",
-    "LatticeError", "LatticeVector", "W2Class", "EtaResult", "from_coords",
+    "LatticeError", "LatticeVector", "EtaResult", "from_coords",
     "zero", "concat", "parse_vector", "is_member", "require_member", "norm",
     "same_class", "congruent_vectors", "is_extremal", "eta", "min_charge_k",
     "verify_telescoping", "verify_triple_identity",

@@ -40,7 +40,7 @@ COMMAND_TABLE = {
     "phi": ("invariants.phi_span", "invariants.phi_filtration",
             "invariants.phi_report", "invariants.nilpotency_order"),
     "h": ("invariants.h_invariant", "invariants.triangular_independence",
-          "homology.pair", "complexes.evaluate_functional"),
+          "homology.pair"),
     "eta": ("lattice.eta", "lattice.congruent_vectors", "lattice.same_class",
             "lattice.norm", "lattice.parse_vector", "lattice.require_member"),
     "extremal": ("lattice.is_extremal", "lattice.is_member",
@@ -184,8 +184,9 @@ def cmd_validate(args) -> int:
     rep.add("kind", data.kind.value)
     rep.add("generators", data.size)
     rep.add("dims", _dims(data.complex.dims_by_degree()))
-    rep.add("u-chain-residual-zero", complexes.u_chain_residual(data).is_zero())
     result = complexes.validate(data)
+    rep.add("u-chain-residual-zero",
+            all(v.invariant != "u-chain-relation" for v in result.violations))
     rep.add("valid", result.ok)
     for v in result.violations:
         rep.add("violation " + v.invariant, v.detail)
@@ -356,8 +357,7 @@ def cmd_h(args) -> int:
     alpha = dict(data.delta_prime)
     rep.add("delta-on-delta-prime", pair(data.delta, alpha))
     u2 = data.u @ data.u
-    rep.add("delta-on-u2-delta-prime",
-            complexes.evaluate_functional(data.delta, u2.apply(alpha)))
+    rep.add("delta-on-u2-delta-prime", pair(data.delta, u2.apply(alpha)))
     rep.add("triangular-independence-bound",
             invariants.triangular_independence(data.delta, alpha, data.u))
     rep.emit(args.json)
@@ -374,7 +374,7 @@ def cmd_eta(args) -> int:
     rep.add("class", args.cls)
     rep.add("blocks", w.blocks)
     rep.add("norm", lattice.norm(w))
-    result = lattice.eta(w, workers=args.workers)
+    result = lattice.eta(w)
     rep.add("vectors", len(result.vectors))
     rep.add("count", result.count)
     rep.add("all-in-class", all(lattice.same_class(v, w) for v in result.vectors))
@@ -601,9 +601,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="cls", required=True,
                    help="w0, w0^n, zero^n, or comma-separated coordinates")
     p.add_argument("--blocks", type=int, help="expected block count (checked)")
-    p.add_argument("--sign-rule", choices=("plus",), default="plus")
     p.add_argument("--list", action="store_true", help="list the vectors")
-    p.add_argument("--workers", type=int, help="enumeration workers (default: env)")
+    p.add_argument("--workers", type=int,
+                   help="accepted and ignored, as is FLOER_WORKBENCH_THREADS; "
+                        "the enumeration runs in one thread")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("extremal", help="extremality and minimal charge index")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .linalg import RatMatrix, Vector, dot, outer
+from .linalg import RatMatrix, Vector, outer
 
 DEGREE_MOD = 8
 DUAL_DEGREE_SUM = 5
@@ -196,15 +196,17 @@ def validate(data: FloerData) -> ValidationReport:
         names = ", ".join(cx.names[i] for i in sorted(bd)[:6])
         out.append(Violation("delta-prime-is-cycle", "d(delta_prime) != 0 at " + names))
 
-    _matrix_zero_check(cx, u_chain_residual(data), "u-chain-relation",
+    residual = u_chain_residual(data)
+    _matrix_zero_check(cx, residual, "u-chain-relation",
                        "d u - u d + (1/2) delta_prime . delta != 0", out)
 
     if data.kind is Kind.ADMISSIBLE:
         if data.delta or data.delta_prime:
             out.append(Violation("admissible-triviality",
                                  "admissible data must have delta = 0 and delta_prime = 0"))
-        _matrix_zero_check(cx, d @ data.u - data.u @ d, "admissible-commutation",
-                           "admissible data needs d u = u d", out)
+        composite = outer(data.delta_prime, data.delta, data.size, data.size)
+        _matrix_zero_check(cx, residual - composite.scale(Fraction(1, 2)),
+                           "admissible-commutation", "admissible data needs d u = u d", out)
 
     return ValidationReport(ok=not out, violations=out)
 
@@ -268,7 +270,3 @@ def structurally_equal(a: FloerData, b: FloerData) -> bool:
                 remap_matrix(d.u).entries, remap_vec(d.delta), remap_vec(d.delta_prime))
 
     return normal(a) == normal(b)
-
-
-def evaluate_functional(f: Vector, v: Vector) -> Fraction:
-    return dot(f, v)

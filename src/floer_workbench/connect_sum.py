@@ -419,6 +419,15 @@ def _n_map(data: FloerData) -> RatMatrix:
     return data.u @ data.u - RatMatrix.identity(data.size).scale(4)
 
 
+def _odd_n_map(data: FloerData, n_map: RatMatrix) -> RatMatrix:
+    """n_map restricted to the generators in degrees 1 and 5."""
+    sub = sorted(data.complex.indices_in_degree(1) + data.complex.indices_in_degree(5))
+    local = {g: t for t, g in enumerate(sub)}
+    return RatMatrix(len(sub), len(sub),
+                     {(local[r], local[c]): v for (r, c), v in n_map.entries.items()
+                      if r in local and c in local})
+
+
 def _u_difference(a: FloerData, b: FloerData, t: dict) -> dict:
     return _tensor_add(_factor_apply(a.u, 0, t), _tensor_scale(-1, _factor_apply(b.u, 1, t)))
 
@@ -614,13 +623,7 @@ def _prepare_factor(data: FloerData, f: Optional[Vector], n: int, label: str):
     if not set(f) <= ones:
         raise ValueError("%s functional must be supported in degree 1" % label)
     n_map = _n_map(data)
-    sub = list(ones) + data.complex.indices_in_degree(5)
-    sub_local = {g: t for t, g in enumerate(sorted(sub))}
-    restricted = RatMatrix(len(sub), len(sub),
-                           {(sub_local[r], sub_local[c]): v
-                            for (r, c), v in n_map.entries.items()
-                            if r in sub_local and c in sub_local})
-    if not restricted.power(n).is_zero():
+    if not _odd_n_map(data, n_map).power(n).is_zero():
         raise ValueError("(u^2 - 4)^%d does not vanish on the %s factor" % (n, label))
     k = _functional_order(f, n_map, data.size)
     return f, n_map, k
@@ -652,14 +655,7 @@ def verify_sum_bound(a: FloerData, b: FloerData, c: Optional[FloerData] = None,
         n = 1
         for data, _, label in factors:
             _require_reduced(data, label)
-            sub = data.complex.indices_in_degree(1) + data.complex.indices_in_degree(5)
-            sub_local = {g: t for t, g in enumerate(sorted(sub))}
-            nm = _n_map(data)
-            restricted = RatMatrix(len(sub), len(sub),
-                                   {(sub_local[r], sub_local[c2]): v
-                                    for (r, c2), v in nm.entries.items()
-                                    if r in sub_local and c2 in sub_local})
-            n = max(n, nilpotency_order(restricted))
+            n = max(n, nilpotency_order(_odd_n_map(data, _n_map(data))))
 
     prepared = [_prepare_factor(data, f, n, label) for data, f, label in factors]
     orders = tuple(k for _, _, k in prepared)

@@ -13,20 +13,18 @@ Enumeration of a class mod 2*lattice is per block: v = w + 2e with e in E8
 pins every coordinate parity, and once the first coordinate of e is chosen
 the integer/half-integer type of e is pinned too, so the backtracking walks
 coordinates in steps of 4 under a running norm budget.  Blocks are then
-combined under an exact total-norm target.  The final list is sorted by
-coordinates, so the output is independent of how the search was split
-across workers.
+combined under an exact total-norm target.  The search runs in one thread:
+it is pure Python, which the GIL would serialise across threads anyway.
+The final list is sorted by coordinates.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from .linalg import rational
 
@@ -158,23 +156,6 @@ def same_class(v: LatticeVector, w: LatticeVector) -> bool:
                for b in range(v.blocks))
 
 
-@dataclass(frozen=True)
-class W2Class:
-    """A class mod twice the lattice, held by a representative."""
-    representative: LatticeVector
-
-    def __post_init__(self):
-        require_member(self.representative)
-
-    def __eq__(self, other):
-        return (isinstance(other, W2Class)
-                and self.representative.blocks == other.representative.blocks
-                and same_class(self.representative, other.representative))
-
-    def __hash__(self):
-        return hash(self.representative.blocks)
-
-
 # ---------------------------------------------------------------------------
 # enumeration
 
@@ -224,21 +205,12 @@ def _block_class_min(wb: tuple) -> int:
     return min(members)
 
 
-def _worker_count(workers: Optional[int]) -> int:
-    if workers is not None:
-        return max(1, workers)
-    env = os.environ.get("FLOER_WORKBENCH_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
 def congruent_vectors(w: LatticeVector, workers: Optional[int] = None) -> list:
     """All v with v^2 = w^2 and v congruent to w mod twice the lattice.
 
-    Complete by the definiteness of the form; sorted by coordinates, so the
-    answer does not depend on the worker count.
+    Complete by the definiteness of the form; sorted by coordinates.
+    workers is accepted and ignored (see the module docstring), as is the
+    FLOER_WORKBENCH_THREADS environment variable.
     """
     require_member(w)
     target = sum(c * c for c in w.doubled)
@@ -255,10 +227,6 @@ def congruent_vectors(w: LatticeVector, workers: Optional[int] = None) -> list:
         suffix_min[b] = suffix_min[b + 1] + mins[b]
 
     def combine(b, remaining, head, out):
-        if b == w.blocks:
-            if remaining == 0:
-                out.append(head)
-            return
         groups = per_block[b]
         if b == w.blocks - 1:
             for vec in groups.get(remaining, ()):
@@ -270,24 +238,8 @@ def congruent_vectors(w: LatticeVector, workers: Optional[int] = None) -> list:
             for vec in vecs:
                 combine(b + 1, remaining - q, head + vec, out)
 
-    first = [(q, vec) for q, vecs in per_block[0].items() for vec in vecs
-             if q + suffix_min[1] <= target]
-    nworkers = _worker_count(workers)
-
-    def run_chunk(chunk):
-        out = []
-        for q, vec in chunk:
-            combine(1, target - q, vec, out)
-        return out
-
-    if nworkers == 1 or len(first) < 2:
-        results = run_chunk(first)
-    else:
-        chunks = [first[i::nworkers] for i in range(nworkers)]
-        results = []
-        with ThreadPoolExecutor(max_workers=nworkers) as pool:
-            for part in pool.map(run_chunk, chunks):
-                results.extend(part)
+    results = []
+    combine(0, target, (), results)
     results.sort()
     return [LatticeVector(w.blocks, tup) for tup in results]
 
@@ -309,26 +261,20 @@ class EtaResult:
     count: Fraction
 
 
-def eta(w: LatticeVector, sign_rule: Optional[Callable] = None,
-        workers: Optional[int] = None, keep_vectors: bool = True) -> EtaResult:
+def eta(w: LatticeVector, workers: Optional[int] = None,
+        keep_vectors: bool = True) -> EtaResult:
     """Signed count of the vectors congruent to w with the same norm.
 
-    The sign rule is pluggable; the default weights every vector +1, and
-    every assertion made downstream (nonzeroness, multiplicativity) is
-    insensitive to the choice.
+    Every vector is weighted +1; every assertion made downstream
+    (nonzeroness, multiplicativity) is insensitive to the sign rule.
+    workers is ignored, as in congruent_vectors.
     """
     require_member(w)
     if not is_extremal(w):
         warnings.warn("eta evaluated at a non-extremal vector", stacklevel=2)
-    vectors = congruent_vectors(w, workers=workers)
-    if sign_rule is None:
-        count = Fraction(len(vectors))
-    else:
-        count = Fraction(0)
-        for v in vectors:
-            count += Fraction(sign_rule(v))
+    vectors = congruent_vectors(w)
     return EtaResult(vectors=tuple(vectors) if keep_vectors else (),
-                     count=count)
+                     count=Fraction(len(vectors)))
 
 
 def min_charge_k(w: LatticeVector) -> int:

@@ -6,13 +6,18 @@ builds its column-major and row-major views once, on first use, since an
 instance never changes.  All eliminations are exact; nothing in this package
 ever touches a float.
 
-rref_rows, kernel_basis and image_basis share one integer-preserving
-eliminator: each incoming row is scaled once to a primitive integer row,
-eliminated with fraction-free updates row := p*row - c*other followed by
-division by the gcd of its entries, and turned back into Fractions only
-when the output is normalised to pivot 1.  The output is the unique reduced
-row echelon form of the span, so it does not depend on the row order or on
-the elimination path.
+There is one exact eliminator, _insert, and it keeps every entry an
+integer: each incoming row is scaled once to an integer row, reduced at the
+pivots it hits with fraction-free updates row := p*row - c*other followed by
+division by the gcd of its entries and, when a nonnegative index survives,
+stored under the smallest one and back-substituted into the other rows.
+Each stored row is a multiple of a row of the reduced row echelon form of
+the span, so results do not depend on the row order or on the elimination
+path.  rref_rows, kernel_basis and image_basis read that basis;
+LinearSolver keeps one incrementally, with each row's expression over the
+added vectors riding along under negative keys.  Fractions are built only
+for returned values.  rank keeps a separate Fraction elimination with
+Markowitz pivoting, as an independent check on the integer one.
 """
 
 from __future__ import annotations
@@ -288,84 +293,6 @@ def outer(v: Vector, f: Vector, rows: int, cols: int) -> RatMatrix:
     return RatMatrix(rows, cols, entries)
 
 
-class LinearSolver:
-    """Incremental exact Gaussian elimination over added column vectors.
-
-    Tracks, for each independent vector, its reduced form and an expression
-    of that reduced form in terms of the original added vectors, so targets
-    can be both tested for membership and expressed in the original family.
-    Pivots are the smallest-index nonzero coordinates.  Stored vectors are
-    reduced against all earlier ones, so reductions must sweep in insertion
-    order; that also keeps results deterministic.
-    """
-
-    def __init__(self):
-        self._pivots = []  # (pivot index, reduced vector, expression over added ids)
-        self._added = 0
-
-    @property
-    def dim(self) -> int:
-        return len(self._pivots)
-
-    def _reduce(self, v: Vector):
-        rem = dict(v)
-        expr = {}
-        for pivot, vec, vec_expr in self._pivots:
-            coeff = rem.get(pivot)
-            if coeff:
-                for idx, val in vec.items():
-                    s = rem.get(idx, 0) - coeff * val
-                    if s:
-                        rem[idx] = s
-                    else:
-                        rem.pop(idx, None)
-                for idx, val in vec_expr.items():
-                    s = expr.get(idx, 0) + coeff * val
-                    if s:
-                        expr[idx] = s
-                    else:
-                        expr.pop(idx, None)
-        return rem, expr
-
-    def add(self, v: Vector) -> Optional[Vector]:
-        """Add a vector; return its normalized reduced form if independent."""
-        rem, used = self._reduce(v)
-        this_id = self._added
-        self._added += 1
-        if not rem:
-            return None
-        pivot = min(rem)
-        inv = 1 / rem[pivot]
-        rem = {idx: inv * val for idx, val in rem.items()}
-        expr = {this_id: inv}
-        for idx, val in used.items():
-            s = expr.get(idx, 0) - inv * val
-            if s:
-                expr[idx] = s
-            else:
-                expr.pop(idx, None)
-        self._pivots.append((pivot, rem, expr))
-        return rem
-
-    def contains(self, target: Vector) -> bool:
-        rem, _ = self._reduce(target)
-        return not rem
-
-    def express(self, target: Vector) -> Optional[Vector]:
-        """Coefficients over the added vectors reproducing target, or None."""
-        rem, expr = self._reduce(target)
-        if rem:
-            return None
-        return expr
-
-
-def span_dim(vectors: Iterable[Vector]) -> int:
-    solver = LinearSolver()
-    for v in vectors:
-        solver.add(v)
-    return solver.dim
-
-
 def _markowitz_rank(entries: dict) -> int:
     """Rank by exact elimination with Markowitz pivoting.
 
@@ -439,30 +366,51 @@ def _eliminate(row: dict, other: dict, pivot: int) -> None:
             del row[idx]
 
 
+def _integer_row(raw: Vector) -> tuple:
+    """(den, den * raw) with den the lcm of the denominators of raw."""
+    den = lcm(*(v.denominator for v in raw.values()))
+    return den, {idx: v.numerator * (den // v.denominator) for idx, v in raw.items() if v}
+
+
+def _reduce(basis: dict, row: dict) -> None:
+    """Clear an integer row, in place, at every pivot of basis it hits."""
+    # basis rows are zero at each other's pivots, so clearing one hit pivot
+    # never creates another
+    for pivot in [idx for idx in row if idx in basis]:
+        _eliminate(row, basis[pivot], pivot)
+
+
+def _insert(basis: dict, row: dict) -> Optional[int]:
+    """Reduce an integer row against basis and keep it if anything survives.
+
+    The pivot of a kept row is its smallest nonnegative index; the row is
+    made primitive and back-substituted into the other rows, so every row
+    stays zero at the other rows' pivots.  Negative indices are never
+    pivots: LinearSolver keeps its bookkeeping there.  Returns the new pivot,
+    or None when the row was in the span.
+    """
+    _reduce(basis, row)
+    pivot = min((idx for idx in row if idx >= 0), default=None)
+    if pivot is None:
+        return None
+    _primitive(row)
+    for other in basis.values():
+        if pivot in other:
+            _eliminate(other, row, pivot)
+            _primitive(other)
+    basis[pivot] = row
+    return pivot
+
+
 def _integer_rref(row_vectors: Iterable[Vector]) -> dict:
     """pivot -> primitive integer row, for the reduced echelon form of the span.
 
-    Each row's pivot is its smallest index and every row is zero at the
-    other rows' pivots; dividing a row by its pivot entry gives the RREF
-    row.  Rational input rows are cleared of denominators once, on entry.
+    Dividing a row by its pivot entry gives the RREF row.  Rational input
+    rows are cleared of denominators once, on entry.
     """
     basis = {}
     for raw in row_vectors:
-        den = lcm(*(v.denominator for v in raw.values()))
-        row = {idx: v.numerator * (den // v.denominator) for idx, v in raw.items() if v}
-        # basis rows are zero at each other's pivots, so clearing one hit
-        # pivot never creates another
-        for pivot in [idx for idx in row if idx in basis]:
-            _eliminate(row, basis[pivot], pivot)
-        if not row:
-            continue
-        _primitive(row)
-        pivot = min(row)
-        for other in basis.values():
-            if pivot in other:
-                _eliminate(other, row, pivot)
-                _primitive(other)
-        basis[pivot] = row
+        _insert(basis, _integer_row(raw)[1])
     return basis
 
 
@@ -506,14 +454,66 @@ def image_basis(m: RatMatrix) -> list:
     return rref_rows(m._column_view().values())
 
 
+class LinearSolver:
+    """Incremental exact span of added vectors, kept as integer RREF rows.
+
+    The rows are those of the shared eliminator (_insert).  Besides its
+    vector entries, each row carries under the negative key -1 - k the
+    coefficient of the k-th added vector in it, scaled with the row, so one
+    elimination both keeps the span and expresses targets in the original
+    family.  Fractions are built only for returned values.  add's result is
+    the unique vector of v + span(earlier) that is zero at the span's pivots
+    (each kept row's smallest index), normalised to 1 at its own pivot;
+    express is unique because the kept vectors are independent.
+    """
+
+    def __init__(self):
+        self._basis = {}  # pivot -> integer row with expression keys
+        self._added = 0
+
+    @property
+    def dim(self) -> int:
+        return len(self._basis)
+
+    def _tagged(self, v: Vector) -> dict:
+        """Integer multiple of v, tagged as the next added vector."""
+        den, row = _integer_row(v)
+        row[-1 - self._added] = den
+        return row
+
+    def add(self, v: Vector) -> Optional[Vector]:
+        """Add a vector; return its normalized reduced form if independent."""
+        row = self._tagged(v)
+        self._added += 1
+        pivot = _insert(self._basis, row)
+        if pivot is None:
+            return None
+        lead = row[pivot]
+        return {idx: Fraction(val, lead) for idx, val in row.items() if idx >= 0}
+
+    def contains(self, target: Vector) -> bool:
+        row = _integer_row(target)[1]
+        _reduce(self._basis, row)
+        return all(idx < 0 for idx in row)
+
+    def express(self, target: Vector) -> Optional[Vector]:
+        """Coefficients over the added vectors reproducing target, or None."""
+        tag = -1 - self._added
+        row = self._tagged(target)
+        _reduce(self._basis, row)
+        if any(idx >= 0 for idx in row):
+            return None
+        # 0 = row[tag] * target + sum_k row[-1 - k] * added_k
+        scale = -row.pop(tag)
+        return {-1 - idx: Fraction(val, scale) for idx, val in row.items()}
+
+
 def solve_columns(m: RatMatrix, b: Vector) -> Optional[Vector]:
     """Express b in the columns of m; returns col index -> coeff, or None."""
     solver = LinearSolver()
-    cols = m.columns()
-    for col in cols:
+    for col in m.columns():
         solver.add(col)
-    expr = solver.express(b)
-    return expr
+    return solver.express(b)
 
 
 def invert(m: RatMatrix) -> RatMatrix:

@@ -9,7 +9,6 @@ from floer_workbench.complexes import (
     InvalidDataError,
     Kind,
     dualize,
-    evaluate_functional,
     require_valid,
     structurally_equal,
     u_chain_residual,
@@ -146,14 +145,6 @@ def test_structurally_equal_ignores_names_and_order():
     )
     assert structurally_equal(data, renamed)
     assert renamed != data  # exact equality is name-sensitive
-
-
-def test_evaluate_functional_bilinear():
-    f = vector({0: Fraction(1, 2), 2: Fraction(3)})
-    v = vector({0: Fraction(4), 1: Fraction(9)})
-    assert evaluate_functional(f, v) == Fraction(2)
-    assert evaluate_functional(f, {}) == 0
-    assert evaluate_functional({}, v) == 0
 
 
 def test_dual_preserves_validity_on_spheres():

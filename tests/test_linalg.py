@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from floer_workbench.linalg import (
+    LinearSolver,
     RatMatrix,
     dot,
     format_rational,
@@ -14,7 +15,6 @@ from floer_workbench.linalg import (
     rational,
     rref_rows,
     solve_columns,
-    span_dim,
     vec_add,
     vec_scale,
     vec_sub,
@@ -69,13 +69,6 @@ def test_kernel_hand_cases():
         k, vec_scale(Fraction(-1), k))
     m = dense([[1, 2], [2, 4]])
     assert m.apply(k) == {}
-
-
-def test_span_dim():
-    assert span_dim([]) == 0
-    v = vector({0: 1, 1: 3})
-    assert span_dim([v, vec_scale(2, v)]) == 1
-    assert span_dim([vector({0: 1}), vector({1: 1}), vector({0: 1, 1: 1})]) == 2
 
 
 def test_rank_nullity_random():
@@ -288,3 +281,102 @@ def test_eliminator_matches_sympy_rref():
         expected = [{j: Fraction(int(x.p), int(x.q)) for j, x in enumerate(reduced.row(i)) if x}
                     for i in range(reduced.rows)]
         assert rref_rows(rows) == [row for row in expected if row]
+
+
+# ---------------------------------------------------------------------------
+# LinearSolver on the integer basis against the Fraction solver it replaced
+
+
+class _ReferenceSolver:
+    """Incremental Gaussian elimination over Fraction, as LinearSolver was
+    before it moved onto the shared integer eliminator; kept here only as
+    the oracle."""
+
+    def __init__(self):
+        self._pivots = []  # (pivot index, reduced vector, expression over added ids)
+        self._added = 0
+
+    @property
+    def dim(self):
+        return len(self._pivots)
+
+    def _reduce(self, v):
+        rem = dict(v)
+        expr = {}
+        for pivot, vec, vec_expr in self._pivots:
+            coeff = rem.get(pivot)
+            if coeff:
+                for idx, val in vec.items():
+                    s = rem.get(idx, 0) - coeff * val
+                    if s:
+                        rem[idx] = s
+                    else:
+                        rem.pop(idx, None)
+                for idx, val in vec_expr.items():
+                    s = expr.get(idx, 0) + coeff * val
+                    if s:
+                        expr[idx] = s
+                    else:
+                        expr.pop(idx, None)
+        return rem, expr
+
+    def add(self, v):
+        rem, used = self._reduce(v)
+        this_id = self._added
+        self._added += 1
+        if not rem:
+            return None
+        pivot = min(rem)
+        inv = 1 / rem[pivot]
+        rem = {idx: inv * val for idx, val in rem.items()}
+        expr = {this_id: inv}
+        for idx, val in used.items():
+            s = expr.get(idx, 0) - inv * val
+            if s:
+                expr[idx] = s
+            else:
+                expr.pop(idx, None)
+        self._pivots.append((pivot, rem, expr))
+        return rem
+
+    def contains(self, target):
+        rem, _ = self._reduce(target)
+        return not rem
+
+    def express(self, target):
+        rem, expr = self._reduce(target)
+        if rem:
+            return None
+        return expr
+
+
+def test_linear_solver_matches_fraction_reference():
+    rng = random.Random(1968)
+    for _ in range(400):
+        _, vectors = _random_eliminator_input(rng)
+        _, extra = _random_eliminator_input(rng)
+        solver, reference = LinearSolver(), _ReferenceSolver()
+        added = []
+        for v in vectors + [{}]:
+            got = solver.add(v)
+            assert got == reference.add(v)
+            assert got is None or all(type(x) is Fraction for x in got.values())
+            assert solver.dim == reference.dim
+            added.append(v)
+            # targets: each added vector, the empty vector, random vectors
+            # and combinations of the added ones, in and out of the span
+            targets = [v, {}] + extra[:3]
+            coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 3)) for _ in added]
+            combo = {}
+            for c, w in zip(coeffs, added):
+                combo = vec_add(combo, vec_scale(c, w))
+            targets.append(combo)
+            for target in targets:
+                assert solver.contains(target) == reference.contains(target)
+                expr = solver.express(target)
+                assert expr == reference.express(target)
+                if expr is not None:
+                    total = {}
+                    for k, c in expr.items():
+                        total = vec_add(total, vec_scale(c, added[k]))
+                    assert total == vector(target)
