@@ -205,12 +205,10 @@ def _block_class_min(wb: tuple) -> int:
     return min(members)
 
 
-def congruent_vectors(w: LatticeVector, workers: Optional[int] = None) -> list:
+def congruent_vectors(w: LatticeVector) -> list:
     """All v with v^2 = w^2 and v congruent to w mod twice the lattice.
 
     Complete by the definiteness of the form; sorted by coordinates.
-    workers is accepted and ignored (see the module docstring), as is the
-    FLOER_WORKBENCH_THREADS environment variable.
     """
     require_member(w)
     target = sum(c * c for c in w.doubled)
@@ -263,11 +261,11 @@ class EtaResult:
 
 def eta(w: LatticeVector, workers: Optional[int] = None,
         keep_vectors: bool = True) -> EtaResult:
-    """Signed count of the vectors congruent to w with the same norm.
+    """Count of the vectors congruent to w with the same norm.
 
-    Every vector is weighted +1; every assertion made downstream
-    (nonzeroness, multiplicativity) is insensitive to the sign rule.
-    workers is ignored, as in congruent_vectors.
+    Every vector is weighted +1, so count is the number of vectors.
+    workers is accepted and ignored (see the module docstring), as is the
+    FLOER_WORKBENCH_THREADS environment variable.
     """
     require_member(w)
     if not is_extremal(w):
