@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import warnings
 from fractions import Fraction
 
 from . import complexes, connect_sum, fixtures, invariants, lattice, polyid
@@ -374,7 +375,13 @@ def cmd_eta(args) -> int:
     rep.add("class", args.cls)
     rep.add("blocks", w.blocks)
     rep.add("norm", lattice.norm(w))
-    result = lattice.eta(w)
+    # lattice.eta warns through `warnings`, whose text carries this file's
+    # path and line; report the message alone, like cmd_h's warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = lattice.eta(w)
+    for warning in caught:
+        sys.stderr.write("warning: %s\n" % warning.message)
     rep.add("vectors", len(result.vectors))
     rep.add("count", result.count)
     rep.add("all-in-class", all(lattice.same_class(v, w) for v in result.vectors))

@@ -217,8 +217,8 @@ def require_valid(data: FloerData) -> None:
         raise InvalidDataError(report)
 
 
-def dualize(data: FloerData, dual_degree_sum: int = DUAL_DEGREE_SUM) -> FloerData:
-    """Regrade by k -> (dual_degree_sum - k) mod 8 and transpose everything.
+def dualize(data: FloerData) -> FloerData:
+    """Regrade by k -> (5 - k) mod 8 and transpose everything.
 
     The differential transposes, u transposes with a sign flip, and delta
     and delta_prime trade places (a vector becomes a functional on the dual
@@ -228,13 +228,12 @@ def dualize(data: FloerData, dual_degree_sum: int = DUAL_DEGREE_SUM) -> FloerDat
     data with both delta and delta_prime nonzero would violate the relation.
     Even powers of u are all that any invariant reads, so the flip is
     otherwise invisible.  Applying dualize twice returns the original data
-    exactly.  The default degree sum 5 is the one under which the
-    degree-1/degree-4 support conventions for delta and delta_prime are
-    swapped into each other; other sums only make sense for data whose
-    delta and delta_prime vanish.
+    exactly.  The degree sum 5 is the one under which the degree-1/degree-4
+    support conventions for delta and delta_prime are swapped into each
+    other.
     """
     cx = data.complex
-    degrees = tuple((dual_degree_sum - d) % DEGREE_MOD for d in cx.degrees)
+    degrees = tuple((DUAL_DEGREE_SUM - d) % DEGREE_MOD for d in cx.degrees)
     dual_cx = GradedComplex(cx.names, degrees, cx.differential.transpose())
     return FloerData(
         complex=dual_cx,

@@ -3,16 +3,17 @@
 Shape of the construction
 -------------------------
 Given data (C, u, delta, delta_prime) and (C', u', delta', delta_prime'),
-the total complex stacks up to four summands:
+the total complex stacks up to four summands, numbered in this order:
 
     S1 = C (x) C'            degree sum
     S2 = C (x) Q<theta'>     present when the right factor is a sphere kind
     S3 = Q<theta> (x) C'     present when the left factor is a sphere kind
     S4 = C (x) C' shifted    degree sum + 3
 
-with theta generators sitting in degree 0.  The diagonal differentials are
-the usual tensor ones (with the Koszul sign on the second slot), negated on
-S4.  Cross maps, all of total degree -1:
+with theta generators sitting in degree 0.  The differential is a union of
+six blocks at disjoint positions.  The diagonal block D0 holds the usual
+tensor differentials (with the Koszul sign on the second slot), negated on
+S4.  Each cross block, of total degree -1, carries one sign of the family:
 
     S1 -> S2   s12 * (-1)^|a| delta'(b) (a theta')
     S1 -> S3   s13 * delta(a) (theta b)
@@ -20,10 +21,21 @@ S4.  Cross maps, all of total degree -1:
     S2 -> S4   s24 * (a delta_prime'(1))
     S3 -> S4   s34 * (delta_prime(1) b)
 
-The five signs form a finite family; squaring the differential to zero
-forces s12 s24 = s14 and s13 s34 = -s14 whenever both boundary functionals
-are active, and sign_search returns every member that works for the given
-inputs.  The default configuration (1, 1, 1, 1, -1) satisfies both
+On validated factors d has degree -1 and u degree -4, so neither has a
+diagonal entry and no two contributions to one block meet at a position:
+each block is written once, by assignment.  For a configuration s the
+differential is D(s) = D0 + sum_k s_k X_k, and as s_k^2 = 1
+
+    D(s)^2 = sum over m of (prod_{k in m} s_k) T_m,
+
+where m is a set of at most two sign names and T_m sums the block products
+whose signs multiply to that monomial.  sign_search forms the block
+products once and accepts the configurations whose signed sum of the T_m
+vanishes.  On valid inputs the only nonzero terms are T_{s14} (scale times
+the correction (1/2) delta_prime . delta of the u chain relation, from
+either factor), T_{s12,s24} and T_{s13,s34}, so squaring to zero forces
+s12 s24 = s14 and s13 s34 = -s14 whenever both boundary functionals are
+active.  The default configuration (1, 1, 1, 1, -1) satisfies both
 constraints, so it squares to zero for every pair of valid inputs.
 
 Kernel elements of the u-difference map are built by the telescoping
@@ -35,6 +47,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -43,7 +56,7 @@ from .complexes import (DEGREE_MOD, FloerData, GradedComplex, Kind,
                         require_valid)
 from .invariants import nilpotency_order
 from .linalg import (LinearSolver, RatMatrix, Vector, dot, kernel_basis,
-                     solve_columns, vec_sub)
+                     solve_columns, vec_add, vec_scale, vec_sub)
 
 
 class SignSearchError(ValueError):
@@ -57,6 +70,9 @@ class SummandTag(enum.IntEnum):
     TENSOR_SHIFTED = 4
 
 
+SIGN_NAMES = ("s12", "s13", "s14", "s24", "s34")
+
+
 @dataclass(frozen=True)
 class SignConfig:
     s12: int = 1
@@ -66,7 +82,7 @@ class SignConfig:
     s34: int = -1
 
     def __post_init__(self):
-        for name in ("s12", "s13", "s14", "s24", "s34"):
+        for name in SIGN_NAMES:
             if getattr(self, name) not in (1, -1):
                 raise ValueError("signs must be +1 or -1")
 
@@ -91,7 +107,6 @@ class ConnectSumComplex:
     total: GradedComplex
     summands: tuple
     signs: SignConfig
-    u_cross_scale: Fraction
     shape: tuple  # tags present, e.g. (1, 4) or (1, 2, 3, 4)
 
     def indices_with_tag(self, tag: SummandTag) -> list:
@@ -99,132 +114,97 @@ class ConnectSumComplex:
 
 
 class _Assembly:
-    """Sign-independent blocks of the total differential."""
+    """Generators of a sum complex and the six blocks of its differential.
+
+    Generators run through S1, S2, S3, S4 in turn, tensor pairs (i, j) with
+    i major: S1's pair (i, j) sits at i * nb + j, and S4's at the same
+    offset past the S1, S2 and S3 generators.  `diagonal` and the `cross`
+    blocks (keyed by sign name) are full-size matrices with disjoint
+    supports.
+    """
 
     def __init__(self, a: FloerData, b: FloerData, theta_right: bool,
                  theta_left: bool, u_scale: Fraction):
-        self.a = a
-        self.b = b
-        self.u_scale = u_scale
         na, nb = a.size, b.size
-        self.names = []
-        self.degrees = []
-        self.summands = []
+        n2 = na if theta_right else 0
+        n3 = nb if theta_left else 0
+        o2 = na * nb
+        o3 = o2 + n2
+        o4 = o3 + n3
+        self.size = o4 + na * nb
 
-        self.s1 = {}
-        for i in range(na):
-            for j in range(nb):
-                self.s1[(i, j)] = len(self.names)
-                self.names.append("%s.%s" % (a.complex.names[i], b.complex.names[j]))
-                self.degrees.append((a.complex.degrees[i] + b.complex.degrees[j]) % DEGREE_MOD)
-                self.summands.append(SummandGenerator(SummandTag.TENSOR, i, j))
-        self.s2 = {}
-        if theta_right:
-            for i in range(na):
-                self.s2[i] = len(self.names)
-                self.names.append("%s.theta" % a.complex.names[i])
-                self.degrees.append(a.complex.degrees[i])
-                self.summands.append(SummandGenerator(SummandTag.LEFT_THETA, i, None))
-        self.s3 = {}
-        if theta_left:
-            for j in range(nb):
-                self.s3[j] = len(self.names)
-                self.names.append("theta.%s" % b.complex.names[j])
-                self.degrees.append(b.complex.degrees[j])
-                self.summands.append(SummandGenerator(SummandTag.THETA_RIGHT, None, j))
-        self.s4 = {}
-        for i in range(na):
-            for j in range(nb):
-                self.s4[(i, j)] = len(self.names)
-                self.names.append("shift.%s.%s" % (a.complex.names[i], b.complex.names[j]))
-                self.degrees.append((a.complex.degrees[i] + b.complex.degrees[j] + 3) % DEGREE_MOD)
-                self.summands.append(SummandGenerator(SummandTag.TENSOR_SHIFTED, i, j))
+        pairs = [(i, j) for i in range(na) for j in range(nb)]
+        an, ad = a.complex.names, a.complex.degrees
+        bn, bd = b.complex.names, b.complex.degrees
+        self.names = (["%s.%s" % (an[i], bn[j]) for i, j in pairs]
+                      + ["%s.theta" % an[i] for i in range(n2)]
+                      + ["theta.%s" % bn[j] for j in range(n3)]
+                      + ["shift.%s.%s" % (an[i], bn[j]) for i, j in pairs])
+        self.degrees = ([(ad[i] + bd[j]) % DEGREE_MOD for i, j in pairs]
+                        + list(ad[:n2]) + list(bd[:n3])
+                        + [(ad[i] + bd[j] + 3) % DEGREE_MOD for i, j in pairs])
+        self.summands = (
+            [SummandGenerator(SummandTag.TENSOR, i, j) for i, j in pairs]
+            + [SummandGenerator(SummandTag.LEFT_THETA, i, None) for i in range(n2)]
+            + [SummandGenerator(SummandTag.THETA_RIGHT, None, j) for j in range(n3)]
+            + [SummandGenerator(SummandTag.TENSOR_SHIFTED, i, j) for i, j in pairs])
 
-        self.size = len(self.names)
-        self.diagonal = self._diagonal_block()
-        self.cross = {
-            "s12": self._block_12() if theta_right else {},
-            "s13": self._block_13() if theta_left else {},
-            "s14": self._block_14(),
-            "s24": self._block_24() if theta_right else {},
-            "s34": self._block_34() if theta_left else {},
-        }
-
-    @staticmethod
-    def _bump(entries, key, val):
-        s = entries.get(key, 0) + val
-        if s:
-            entries[key] = s
-        else:
-            entries.pop(key, None)
-
-    def _diagonal_block(self) -> dict:
-        a, b = self.a, self.b
-        na, nb = a.size, b.size
-        ent = {}
+        eps = [-1 if deg % 2 else 1 for deg in ad]  # Koszul sign past the left slot
+        diagonal, x12, x13, x14, x24, x34 = {}, {}, {}, {}, {}, {}
         for (r, c), v in a.complex.differential.entries.items():
             for j in range(nb):
-                self._bump(ent, (self.s1[(r, j)], self.s1[(c, j)]), v)
-                self._bump(ent, (self.s4[(r, j)], self.s4[(c, j)]), -v)
-            if self.s2:
-                self._bump(ent, (self.s2[r], self.s2[c]), v)
+                diagonal[r * nb + j, c * nb + j] = v
+                diagonal[o4 + r * nb + j, o4 + c * nb + j] = -v
+            if n2:
+                diagonal[o2 + r, o2 + c] = v
         for (r, c), v in b.complex.differential.entries.items():
             for i in range(na):
-                eps = -1 if a.complex.degrees[i] % 2 else 1
-                self._bump(ent, (self.s1[(i, r)], self.s1[(i, c)]), eps * v)
-                self._bump(ent, (self.s4[(i, r)], self.s4[(i, c)]), -eps * v)
-            if self.s3:
-                self._bump(ent, (self.s3[r], self.s3[c]), v)
-        return ent
-
-    def _block_14(self) -> dict:
-        a, b = self.a, self.b
-        ent = {}
+                diagonal[i * nb + r, i * nb + c] = eps[i] * v
+                diagonal[o4 + i * nb + r, o4 + i * nb + c] = -eps[i] * v
+            if n3:
+                diagonal[o3 + r, o3 + c] = v
         for (r, c), v in a.u.entries.items():
-            for j in range(b.size):
-                self._bump(ent, (self.s4[(r, j)], self.s1[(c, j)]), self.u_scale * v)
+            for j in range(nb):
+                x14[o4 + r * nb + j, c * nb + j] = u_scale * v
         for (r, c), v in b.u.entries.items():
-            for i in range(a.size):
-                self._bump(ent, (self.s4[(i, r)], self.s1[(i, c)]), -self.u_scale * v)
-        return ent
-
-    def _block_12(self) -> dict:
-        a = self.a
-        ent = {}
-        for j, val in self.b.delta.items():
-            for i in range(a.size):
-                eps = -1 if a.complex.degrees[i] % 2 else 1
-                self._bump(ent, (self.s2[i], self.s1[(i, j)]), eps * val)
-        return ent
-
-    def _block_13(self) -> dict:
-        ent = {}
-        for i, val in self.a.delta.items():
-            for j in range(self.b.size):
-                self._bump(ent, (self.s3[j], self.s1[(i, j)]), val)
-        return ent
-
-    def _block_24(self) -> dict:
-        ent = {}
-        for s, val in self.b.delta_prime.items():
-            for i in range(self.a.size):
-                self._bump(ent, (self.s4[(i, s)], self.s2[i]), val)
-        return ent
-
-    def _block_34(self) -> dict:
-        ent = {}
-        for r, val in self.a.delta_prime.items():
-            for j in range(self.b.size):
-                self._bump(ent, (self.s4[(r, j)], self.s3[j]), val)
-        return ent
+            for i in range(na):
+                x14[o4 + i * nb + r, i * nb + c] = -u_scale * v
+        for j, v in b.delta.items():
+            for i in range(n2):
+                x12[o2 + i, i * nb + j] = eps[i] * v
+        for i, v in a.delta.items():
+            for j in range(n3):
+                x13[o3 + j, i * nb + j] = v
+        for s, v in b.delta_prime.items():
+            for i in range(n2):
+                x24[o4 + i * nb + s, o2 + i] = v
+        for r, v in a.delta_prime.items():
+            for j in range(n3):
+                x34[o4 + r * nb + j, o3 + j] = v
+        self.diagonal = RatMatrix(self.size, self.size, diagonal)
+        self.cross = {name: RatMatrix(self.size, self.size, ent)
+                      for name, ent in zip(SIGN_NAMES, (x12, x13, x14, x24, x34))}
 
     def differential(self, signs: SignConfig) -> RatMatrix:
-        ent = dict(self.diagonal)
+        """D(s): the diagonal block and each cross block times its sign."""
+        ent = dict(self.diagonal.entries)
         for name, block in self.cross.items():
             sign = getattr(signs, name)
-            for key, v in block.items():
-                self._bump(ent, key, sign * v)
+            ent.update((key, sign * v) for key, v in block.entries.items())
         return RatMatrix(self.size, self.size, ent)
+
+    def square_terms(self) -> dict:
+        """The nonzero T_m of D(s)^2 = sum over m of (prod_{k in m} s_k) T_m.
+
+        m is a frozenset of sign names: a product of two blocks carries the
+        signs of both, and a sign met twice squares to 1.
+        """
+        blocks = [(frozenset(), self.diagonal)]
+        blocks += [(frozenset((name,)), x) for name, x in self.cross.items()]
+        terms, zero = {}, RatMatrix.zero(self.size, self.size)
+        for (m, x), (n, y) in itertools.product(blocks, repeat=2):
+            terms[m ^ n] = terms.get(m ^ n, zero) + x @ y
+        return {m: t for m, t in terms.items() if not t.is_zero()}
 
     def check_degrees(self, m: RatMatrix) -> None:
         for (r, c) in m.entries:
@@ -243,7 +223,7 @@ def _assembly(a: FloerData, b: FloerData, u_scale: Fraction) -> _Assembly:
                      u_scale=u_scale)
 
 
-def _finish(asm: _Assembly, a, b, signs: SignConfig, u_scale) -> ConnectSumComplex:
+def _finish(asm: _Assembly, a, b, signs: SignConfig) -> ConnectSumComplex:
     diff = asm.differential(signs)
     asm.check_degrees(diff)
     if not (diff @ diff).is_zero():
@@ -253,7 +233,7 @@ def _finish(asm: _Assembly, a, b, signs: SignConfig, u_scale) -> ConnectSumCompl
     shape = tuple(sorted({int(s.tag) for s in asm.summands}))
     return ConnectSumComplex(left=a, right=b, total=total,
                              summands=tuple(asm.summands), signs=signs,
-                             u_cross_scale=Fraction(u_scale), shape=shape)
+                             shape=shape)
 
 
 def connected_sum_complex(a: FloerData, b: FloerData,
@@ -264,22 +244,27 @@ def connected_sum_complex(a: FloerData, b: FloerData,
     for every pair of valid inputs.  An explicit configuration is verified
     and SignSearchError raised when it fails on the given data.
     """
-    asm = _assembly(a, b, Fraction(2))
-    return _finish(asm, a, b, signs or DEFAULT_SIGNS, Fraction(2))
+    return _finish(_assembly(a, b, Fraction(2)), a, b, signs or DEFAULT_SIGNS)
 
 
 def sign_search(a: FloerData, b: FloerData) -> list:
     """All members of the 32-element sign family that square to zero here.
 
+    The square terms T_m come from one product of each pair of blocks; a
+    configuration s is accepted when sum over m of (prod_{k in m} s_k) T_m
+    is zero, so no per-configuration differential is built or squared.
     Iteration order is lexicographic with +1 before -1, so the first element
     is the canonical accepted configuration for the given inputs.
     """
-    asm = _assembly(a, b, Fraction(2))
+    terms = _assembly(a, b, Fraction(2)).square_terms()
     accepted = []
     for bits in itertools.product((1, -1), repeat=5):
         signs = SignConfig(*bits)
-        diff = asm.differential(signs)
-        if (diff @ diff).is_zero():
+        square = {}
+        for m, t in terms.items():
+            sign = math.prod(getattr(signs, name) for name in m)
+            square = vec_add(square, vec_scale(sign, t.entries))
+        if not square:
             accepted.append(signs)
     if not accepted:
         raise SignSearchError("no sign configuration squares to zero; "
@@ -297,8 +282,7 @@ def disjoint_union_complex(a: FloerData, b: FloerData) -> ConnectSumComplex:
         if data.kind is not Kind.ADMISSIBLE:
             raise ValueError("disjoint union needs admissible inputs; %s factor is %s"
                              % (side, data.kind.value))
-    asm = _assembly(a, b, Fraction(1))
-    return _finish(asm, a, b, DEFAULT_SIGNS, Fraction(1))
+    return _finish(_assembly(a, b, Fraction(1)), a, b, DEFAULT_SIGNS)
 
 
 def extended_u(cs: ConnectSumComplex) -> RatMatrix:
@@ -342,24 +326,6 @@ def _factor_apply(op: RatMatrix, axis: int, tensor: dict) -> dict:
             else:
                 out.pop(new_key, None)
     return out
-
-
-def _tensor_add(x: dict, y: dict) -> dict:
-    out = dict(x)
-    for k, v in y.items():
-        s = out.get(k, 0) + v
-        if s:
-            out[k] = s
-        else:
-            out.pop(k, None)
-    return out
-
-
-def _tensor_scale(c, x: dict) -> dict:
-    c = Fraction(c)
-    if not c:
-        return {}
-    return {k: c * v for k, v in x.items()}
 
 
 def kernel_symmetry_check(cs: ConnectSumComplex, z: Vector) -> bool:
@@ -429,7 +395,7 @@ def _odd_n_map(data: FloerData, n_map: RatMatrix) -> RatMatrix:
 
 
 def _u_difference(a: FloerData, b: FloerData, t: dict) -> dict:
-    return _tensor_add(_factor_apply(a.u, 0, t), _tensor_scale(-1, _factor_apply(b.u, 1, t)))
+    return vec_sub(_factor_apply(a.u, 0, t), _factor_apply(b.u, 1, t))
 
 
 def product_functional(a: FloerData, b: FloerData, fa: Vector, fb: Vector,
@@ -524,8 +490,8 @@ def build_triple_cycle(a: FloerData, b: FloerData, c: FloerData,
             for ck, cv in wc.items():
                 base[(ai, bj, ck)] = av * bv * cv
     # (u1 + u2)(u1 + u3) applied once
-    t = _tensor_add(_factor_apply(a.u, 0, base), _factor_apply(b.u, 1, base))
-    t = _tensor_add(_factor_apply(a.u, 0, t), _factor_apply(c.u, 2, t))
+    t = vec_add(_factor_apply(a.u, 0, base), _factor_apply(b.u, 1, base))
+    t = vec_add(_factor_apply(a.u, 0, t), _factor_apply(c.u, 2, t))
     na_map, nb_map, nc_map = _n_map(a), _n_map(b), _n_map(c)
 
     # cache N-powers applied per axis: power p applied to t is expensive,
@@ -541,17 +507,15 @@ def build_triple_cycle(a: FloerData, b: FloerData, c: FloerData,
                 term = _factor_apply(nb_map, 1, term)
             for _ in range(n - 1 - j):
                 term = _factor_apply(nc_map, 2, term)
-            alpha = _tensor_add(alpha, term)
+            alpha = vec_add(alpha, term)
     return alpha
 
 
 def triple_cycle_condition(a: FloerData, b: FloerData, c: FloerData,
                            alpha: dict) -> bool:
     """(u1 - u2)(u1 - u3) alpha == 0."""
-    w = _tensor_add(_factor_apply(a.u, 0, alpha),
-                    _tensor_scale(-1, _factor_apply(b.u, 1, alpha)))
-    w = _tensor_add(_factor_apply(a.u, 0, w),
-                    _tensor_scale(-1, _factor_apply(c.u, 2, w)))
+    w = vec_sub(_factor_apply(a.u, 0, alpha), _factor_apply(b.u, 1, alpha))
+    w = vec_sub(_factor_apply(a.u, 0, w), _factor_apply(c.u, 2, w))
     return not w
 
 

@@ -160,6 +160,15 @@ def test_eta_report_nonzero(capsys):
     assert "count: 16" in out
 
 
+def test_eta_non_extremal_warning_is_one_plain_line(capsys):
+    # twice, since Python's own warning filter would show a repeat only once
+    for _ in range(2):
+        code, out, err = run(capsys, "eta", "--class", "2,2,0,0,0,0,0,0")
+        assert code == 0
+        assert "count: 240" in out
+        assert err == "warning: eta evaluated at a non-extremal vector\n"
+
+
 def test_rationals_never_decimal(capsys):
     _, out, _ = run(capsys, "verify-sum-bound",
                     "--a", "TrefoilLikeSynthetic",

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from floer_workbench import connect_sum
 from floer_workbench.connect_sum import (
     DEFAULT_SIGNS,
     SignConfig,
@@ -182,6 +183,63 @@ def test_rejected_signs_fail_square_zero():
         else:
             with pytest.raises(SignSearchError):
                 connected_sum_complex(a, b, signs=SignConfig(*tup))
+
+
+def seeded_pairs(seed, per_shape=4):
+    """Factor pairs of all four summand shapes: sphere or admissible on each
+    side, plus builtin spheres with no, one or both boundary functionals."""
+    rng = random.Random(seed)
+    make = {"s": random_homology_sphere, "a": lambda r: random_admissible(r, max_gens=5)}
+    pairs = []
+    for shape in ("ss", "sa", "as", "aa"):
+        for _ in range(per_shape):
+            pairs.append((make[shape[0]](rng), make[shape[1]](rng)))
+    spheres = [builtin("Pplus"), builtin("TrefoilLikeSynthetic"), builtin("nPplusModel:2")]
+    pairs += [(a, b) for a in spheres for b in spheres]
+    pairs += [(builtin("Pminus"), ladder(2)), (ladder(2), builtin("nPplusModel:1"))]
+    return pairs
+
+
+def test_sign_search_matches_full_square_oracle():
+    # the oracle builds each configuration's differential and squares it
+    for a, b in seeded_pairs(2024):
+        expected = []
+        for tup in itertools.product((1, -1), repeat=5):
+            try:
+                connected_sum_complex(a, b, signs=SignConfig(*tup))
+            except SignSearchError:
+                continue
+            expected.append(SignConfig(*tup))
+        assert sign_search(a, b) == expected
+
+
+def test_sign_search_builds_no_differential(monkeypatch):
+    calls = []
+    original = connect_sum._Assembly.differential
+
+    def counting(self, signs):
+        calls.append(signs)
+        return original(self, signs)
+
+    monkeypatch.setattr(connect_sum._Assembly, "differential", counting)
+    a, b = seeded_pairs(7, per_shape=1)[0]
+    assert a.delta and a.delta_prime and b.delta and b.delta_prime
+    assert len(sign_search(a, b)) == 8
+    assert calls == []
+    connected_sum_complex(a, b)
+    assert calls == [DEFAULT_SIGNS]
+
+
+def test_square_terms_are_the_two_constraints():
+    allowed = {frozenset({"s14"}), frozenset({"s12", "s24"}), frozenset({"s13", "s34"})}
+    both_active = 0
+    for a, b in seeded_pairs(99):
+        terms = connect_sum._assembly(a, b, Fraction(2)).square_terms()
+        assert set(terms) <= allowed
+        if a.delta and a.delta_prime and b.delta and b.delta_prime:
+            both_active += 1
+            assert set(terms) == allowed
+    assert both_active >= 3
 
 
 # ---------------------------------------------------------------------------
