@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import warnings
 from fractions import Fraction
@@ -379,15 +380,16 @@ def cmd_eta(args) -> int:
     # path and line; report the message alone, like cmd_h's warning
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = lattice.eta(w)
+        result = lattice.eta(w, keep_vectors=args.list)
     for warning in caught:
         sys.stderr.write("warning: %s\n" % warning.message)
-    rep.add("vectors", len(result.vectors))
+    rep.add("vectors", int(result.count))
     rep.add("count", result.count)
-    rep.add("all-in-class", all(lattice.same_class(v, w) for v in result.vectors))
-    if args.list:
-        for i, v in enumerate(result.vectors):
-            rep.add("vector %d" % i, [format_rational(c) for c in v.coords])
+    rep.add("all-in-class", result.all_in_class)
+    for i, v in enumerate(result.vectors):
+        # doubled coordinates: c/2 is an integer when c is even
+        rep.add("vector %d" % i, [str(c // 2) if c % 2 == 0 else "%d/2" % c
+                                  for c in v.doubled])
     rep.emit(args.json)
     return 0
 
@@ -608,7 +610,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="cls", required=True,
                    help="w0, w0^n, zero^n, or comma-separated coordinates")
     p.add_argument("--blocks", type=int, help="expected block count (checked)")
-    p.add_argument("--list", action="store_true", help="list the vectors")
+    p.add_argument("--list", action="store_true",
+                   help="list the vectors; refused for a class of more than %d"
+                        % lattice.LIST_CAP)
     p.add_argument("--workers", type=int,
                    help="accepted and ignored, as is FLOER_WORKBENCH_THREADS; "
                         "the enumeration runs in one thread")
@@ -667,7 +671,16 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     handler = _HANDLERS[args.command]
     try:
-        return handler(args)
+        code = handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout early; send the interpreter's final flush
+        # to devnull so it cannot raise again (see the `signal` module docs)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     except UsageError as exc:
         sys.stderr.write("usage error: %s\n" % exc)
         return 2

@@ -9,13 +9,22 @@ Coordinates are stored doubled, as plain integers, so half-integers stay
 exact and the inner loops never touch Fraction.  In doubled units the
 squared length of a block is sum(c_i^2) = 4 * |v^2|.
 
-Enumeration of a class mod 2*lattice is per block: v = w + 2e with e in E8
-pins every coordinate parity, and once the first coordinate of e is chosen
-the integer/half-integer type of e is pinned too, so the backtracking walks
-coordinates in steps of 4 under a running norm budget.  Blocks are then
-combined under an exact total-norm target.  The search runs in one thread:
-it is pure Python, which the GIL would serialise across threads anyway.
-The final list is sorted by coordinates.
+A class mod 2*lattice is searched per block: v = w + 2e with e in E8 pins
+every coordinate parity, and once the first coordinate of e is chosen the
+integer/half-integer type of e is pinned too, so the backtracking walks
+coordinates in steps of 4 under a running norm budget.  Each block's
+members come out grouped by norm, with a budget that leaves the other
+blocks room for their minima.
+
+The blocks are orthogonal, so the number of class members of norm w^2 is
+the coefficient of that norm in the product over blocks of each block's
+series sum_q #{members of norm q} x^q (Conway-Sloane, SPLAG ch. 4 sec. 8.1;
+Serre, A Course in Arithmetic ch. VII).  `eta` counts by this convolution
+and never builds a full-length vector unless its vectors are asked for;
+only then are the block members combined into vectors under the exact
+total-norm target, sorted by coordinates.  Listing is refused above
+LIST_CAP vectors.  Everything runs in one thread: the search is pure
+Python, which the GIL would serialise across threads anyway.
 """
 
 from __future__ import annotations
@@ -29,6 +38,8 @@ from typing import Optional
 from .linalg import rational
 
 BLOCK = 8
+# The most vectors `eta` lists: 16^4, the w0^4 class.  Counting has no cap.
+LIST_CAP = 16 ** 4
 
 
 class LatticeError(ValueError):
@@ -52,10 +63,6 @@ class LatticeVector:
                 raise LatticeError("doubled coordinates must be integers")
             coerced.append(c)
         object.__setattr__(self, "doubled", tuple(coerced))
-
-    @property
-    def coords(self) -> tuple:
-        return tuple(Fraction(c, 2) for c in self.doubled)
 
     def block(self, b: int) -> tuple:
         return self.doubled[BLOCK * b:BLOCK * (b + 1)]
@@ -205,24 +212,60 @@ def _block_class_min(wb: tuple) -> int:
     return min(members)
 
 
+def _class_groups(w: LatticeVector) -> tuple:
+    """(target, per-block member groups) for the class of w at norm w^2.
+
+    target is the doubled norm of w.  Block b's groups hold its class
+    members of doubled norm at most target minus the other blocks' class
+    minima, so every member that can appear in a vector of norm w^2 is
+    there, and the least key of each block's groups is its class minimum.
+    """
+    target = sum(c * c for c in w.doubled)
+    mins = [_block_class_min(w.block(b)) for b in range(w.blocks)]
+    slack = target - sum(mins)
+    return target, [_block_class_members(w.block(b), mins[b] + slack)
+                    for b in range(w.blocks)]
+
+
+def _series_coefficient(target: int, per_block: list) -> int:
+    """Coefficient of x^target in the product of the per-block series."""
+    series = {0: 1}
+    for groups in per_block:
+        product = {}
+        for q0, n0 in series.items():
+            for q, members in groups.items():
+                if q0 + q > target:
+                    break
+                product[q0 + q] = product.get(q0 + q, 0) + n0 * len(members)
+        series = product
+    return series.get(target, 0)
+
+
+def _members_in_class(w: LatticeVector, per_block: list) -> bool:
+    """Every block member is in the class of its block of w.
+
+    A vector is congruent to w mod 2*lattice exactly when each of its
+    blocks is congruent to the same block of w, so this checks every
+    vector the groups combine into, one block at a time.
+    """
+    for b, groups in enumerate(per_block):
+        wb = LatticeVector(1, w.block(b))
+        if not all(same_class(LatticeVector(1, member), wb)
+                   for members in groups.values() for member in members):
+            return False
+    return True
+
+
 def congruent_vectors(w: LatticeVector) -> list:
     """All v with v^2 = w^2 and v congruent to w mod twice the lattice.
 
     Complete by the definiteness of the form; sorted by coordinates.
     """
     require_member(w)
-    target = sum(c * c for c in w.doubled)
-    mins = [_block_class_min(w.block(b)) for b in range(w.blocks)]
-    total_min = sum(mins)
-    if total_min > target:
-        return []
-    per_block = []
-    for b in range(w.blocks):
-        budget = target - (total_min - mins[b])
-        per_block.append(_block_class_members(w.block(b), budget))
+    target, per_block = _class_groups(w)
     suffix_min = [0] * (w.blocks + 1)
     for b in range(w.blocks - 1, -1, -1):
-        suffix_min[b] = suffix_min[b + 1] + mins[b]
+        suffix_min[b] = suffix_min[b + 1] + min(per_block[b])
 
     def combine(b, remaining, head, out):
         groups = per_block[b]
@@ -257,6 +300,7 @@ def is_extremal(w: LatticeVector) -> bool:
 class EtaResult:
     vectors: tuple
     count: Fraction
+    all_in_class: bool
 
 
 def eta(w: LatticeVector, workers: Optional[int] = None,
@@ -264,15 +308,29 @@ def eta(w: LatticeVector, workers: Optional[int] = None,
     """Count of the vectors congruent to w with the same norm.
 
     Every vector is weighted +1, so count is the number of vectors.
+    Without keep_vectors, count is read off the convolution of the
+    per-block member series (see the module docstring), no vector is built,
+    and all_in_class checks every block member against its block of w.
+    With keep_vectors, a class of more than LIST_CAP vectors is refused
+    with LatticeError before any is built; otherwise congruent_vectors
+    enumerates them, count is their number and all_in_class checks each.
     workers is accepted and ignored (see the module docstring), as is the
     FLOER_WORKBENCH_THREADS environment variable.
     """
     require_member(w)
-    if not is_extremal(w):
+    target, per_block = _class_groups(w)
+    if sum(min(groups) for groups in per_block) != target:
         warnings.warn("eta evaluated at a non-extremal vector", stacklevel=2)
-    vectors = congruent_vectors(w)
-    return EtaResult(vectors=tuple(vectors) if keep_vectors else (),
-                     count=Fraction(len(vectors)))
+    count = _series_coefficient(target, per_block)
+    if not keep_vectors:
+        return EtaResult(vectors=(), count=Fraction(count),
+                         all_in_class=_members_in_class(w, per_block))
+    if count > LIST_CAP:
+        raise LatticeError("the class has %d vectors, more than the %d "
+                           "that can be listed" % (count, LIST_CAP))
+    vectors = tuple(congruent_vectors(w))
+    return EtaResult(vectors=vectors, count=Fraction(len(vectors)),
+                     all_in_class=all(same_class(v, w) for v in vectors))
 
 
 def min_charge_k(w: LatticeVector) -> int:

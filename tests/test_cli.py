@@ -1,6 +1,9 @@
 import importlib
 import inspect
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -167,6 +170,53 @@ def test_eta_non_extremal_warning_is_one_plain_line(capsys):
         assert code == 0
         assert "count: 240" in out
         assert err == "warning: eta evaluated at a non-extremal vector\n"
+
+
+def test_eta_counts_w0_6_without_listing(capsys):
+    code, out, err = run(capsys, "eta", "--class", "w0^6")
+    assert code == 0
+    assert err == ""
+    assert "vectors: 16777216\ncount: 16777216\nall-in-class: true\n" in out
+
+
+def test_eta_list_prints_exact_coordinates(capsys):
+    code, out, _ = run(capsys, "eta", "--class", "halfsum", "--list")
+    assert code == 0
+    assert out.endswith("vector 0: " + " ".join(["-1/2"] * 8) + "\n"
+                        "vector 1: " + " ".join(["1/2"] * 8) + "\n")
+    code, out, _ = run(capsys, "eta", "--class", "0,0,0,0,0,0,-1,1", "--list")
+    assert code == 0
+    assert out.endswith("vector 0: 0 0 0 0 0 0 -1 1\n"
+                        "vector 1: 0 0 0 0 0 0 1 -1\n")
+    code, out, _ = run(capsys, "eta", "--class=-3/2,1/2,1/2,1/2,1/2,1/2,1/2,1/2",
+                       "--list")
+    assert code == 0
+    assert ": -3/2 1/2 1/2 1/2 1/2 1/2 1/2 1/2\n" in out
+    assert ": 3/2 -1/2 -1/2 -1/2 -1/2 -1/2 -1/2 -1/2\n" in out
+
+
+def test_eta_list_refused_above_cap(capsys):
+    code, out, err = run(capsys, "eta", "--class", "w0^6", "--list")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "16777216" in err and "65536" in err
+
+
+def test_closed_stdout_exits_one_without_traceback():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    # about 270 KB of report, more than a pipe buffers, so writes must fail
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "floer_workbench.cli", "eta", "--class", "w0^3",
+         "--list"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert proc.stdout.readline() == b"command: eta\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 1
+    assert err == b""  # no traceback, no ignored-exception notice
 
 
 def test_rationals_never_decimal(capsys):

@@ -1,12 +1,17 @@
 import itertools
+import math
+import random
 import warnings
 from fractions import Fraction
 
 import pytest
 
+from floer_workbench import lattice
 from floer_workbench.lattice import (
     HALF_SUM,
+    LIST_CAP,
     LatticeError,
+    LatticeVector,
     ROOT,
     W0,
     concat,
@@ -182,3 +187,186 @@ def test_concat_and_blocks():
     assert w.block(1) == (0,) * 8
     with pytest.raises(LatticeError):
         concat()
+
+
+# ---------------------------------------------------------------------------
+# counting by convolution, against enumeration and number theory
+
+# A basis of E8 in doubled coordinates (Conway-Sloane, SPLAG ch. 4, the
+# generator matrix of the even coordinate system): 2e_1, e_k - e_(k-1) for
+# k = 2..7, and (e_1 + ... + e_8)/2.  Its mod-2 span is E8/2E8.
+E8_BASIS = ([(4, 0, 0, 0, 0, 0, 0, 0)]
+            + [tuple(2 if i == k else -2 if i == k - 1 else 0 for i in range(8))
+               for k in range(1, 7)]
+            + [(1,) * 8])
+
+
+def e8_basis_coordinates(d):
+    """Integer coordinates of the doubled E8 block d in E8_BASIS."""
+    a = [0] * 8
+    a[7] = d[7]
+    a[6] = (d[6] - d[7]) // 2
+    for k in range(5, 0, -1):
+        a[k] = (d[k] - d[7]) // 2 + a[k + 1]
+    a[0] = ((d[0] - d[7]) // 2 + a[1]) // 2
+    assert tuple(sum(a[r] * E8_BASIS[r][i] for r in range(8))
+                 for i in range(8)) == tuple(d)
+    return a
+
+
+def short_e8_blocks(max_q):
+    """Every doubled E8 block with sum(c^2) <= max_q, from the full grid."""
+    bound = math.isqrt(max_q)
+    out = []
+    for parity in (0, 1):
+        values = [c for c in range(-bound, bound + 1) if c % 2 == parity]
+        for combo in itertools.product(values, repeat=8):
+            if sum(combo) % 4 == 0 and sum(c * c for c in combo) <= max_q:
+                out.append(combo)
+    return out
+
+
+def doubled_norm(d):
+    return sum(c * c for c in d)
+
+
+def test_e8_classes_mod_2_split_1_120_135():
+    classes = {}
+    for d in short_e8_blocks(16):
+        key = tuple(a % 2 for a in e8_basis_coordinates(d))
+        classes.setdefault(key, []).append(d)
+    assert len(classes) == 256
+    profile = {}
+    for members in classes.values():
+        low = min(doubled_norm(d) for d in members)
+        minimal = sorted(d for d in members if doubled_norm(d) == low)
+        w = LatticeVector(1, minimal[0])
+        assert eta(w, keep_vectors=False).count == len(minimal)
+        assert [v.doubled for v in congruent_vectors(w)] == minimal
+        key = (low // 4, len(minimal))
+        profile[key] = profile.get(key, 0) + 1
+    # (|v^2| of the class minimum, minimal vectors): 1 + 120 + 135 classes
+    assert profile == {(0, 1): 1, (2, 2): 120, (4, 16): 135}
+
+
+def test_class_members_sum_to_e8_theta_series():
+    totals = {}
+    for bits in itertools.product((0, 1), repeat=8):
+        rep = tuple(sum(b * row[i] for b, row in zip(bits, E8_BASIS))
+                    for i in range(8))
+        for q, members in lattice._block_class_members(rep, 24).items():
+            totals[q] = totals.get(q, 0) + len(members)
+    # theta_E8 = 1 + sum_m 240 sigma_3(m) q^m: norm 2m is doubled norm 8m
+    theta = {8 * m: 240 * sum(d ** 3 for d in range(1, m + 1) if m % d == 0)
+             for m in (1, 2, 3)}
+    assert totals == {0: 1, **theta}
+    assert theta == {8: 240, 16: 2160, 24: 6720}
+
+
+def _signed(rng, positions, size):
+    d = [0] * 8
+    for i in positions:
+        d[i] = rng.choice((size, -size))
+    return d
+
+
+def _random_block(rng, kind):
+    """A doubled block: extremal of norm 0, 2 or 4, or non-extremal of norm 6."""
+    if kind == "zero":
+        return [0] * 8
+    if kind == "root":
+        return _signed(rng, rng.sample(range(8), 2), 2)
+    if kind == "halfsum":
+        d = [rng.choice((1, -1)) for _ in range(7)]
+        return d + [1 if (sum(d) + 1) % 4 == 0 else -1]
+    if kind == "norm4":
+        shape = rng.randrange(3)
+        if shape == 0:
+            return _signed(rng, rng.sample(range(8), 4), 2)
+        if shape == 1:
+            return _signed(rng, [rng.randrange(8)], 4)
+        d = [rng.choice((1, -1)) for _ in range(8)]
+        d[rng.randrange(8)] *= 3
+        if sum(d) % 4:
+            d[d.index(1) if 1 in d else d.index(-1)] *= -1
+        return d
+    # norm 6 lies in a class of minimum 2 or 4, never in 2*E8
+    if rng.random() < 0.5:
+        return _signed(rng, rng.sample(range(8), 6), 2)
+    i, j, k = rng.sample(range(8), 3)
+    d = _signed(rng, [i], 4)
+    d[j], d[k] = rng.choice((2, -2)), rng.choice((2, -2))
+    return d
+
+
+def seeded_mixed_classes(count=40, seed=20261018):
+    """Classes of 1-4 blocks; about half carry one non-extremal block."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        kinds = [rng.choice(("zero", "root", "halfsum", "norm4"))
+                 for _ in range(rng.randint(1, 4))]
+        if rng.random() < 0.5:
+            kinds[rng.randrange(len(kinds))] = "non-extremal"
+        blocks = [_random_block(rng, kind) for kind in kinds]
+        out.append(LatticeVector(len(blocks), tuple(c for b in blocks for c in b)))
+    return out
+
+
+def test_convolved_count_matches_enumeration_on_mixed_classes():
+    classes = seeded_mixed_classes()
+    assert sum(not is_extremal(w) for w in classes) >= 10
+    for w in classes:
+        require_member(w)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = eta(w, keep_vectors=False)
+        assert result.vectors == ()
+        assert result.all_in_class
+        assert result.count == len(congruent_vectors(w)), w
+
+
+def test_eta_count_builds_one_block_vectors_only(monkeypatch):
+    built = []
+
+    class Counted(LatticeVector):
+        def __post_init__(self):
+            built.append(self.blocks)
+            super().__post_init__()
+
+    w = concat(*([W0] * 6))
+    monkeypatch.setattr(lattice, "LatticeVector", Counted)
+    result = eta(w, keep_vectors=False)
+    assert result.count == 16 ** 6
+    assert result.all_in_class
+    # one per block member (16 in each block) and one per block of w
+    assert built == [1] * (6 * 16 + 6)
+
+
+def test_all_in_class_comes_from_same_class(monkeypatch):
+    checked = []
+
+    def refuse(v, w):
+        checked.append(v.blocks)
+        return False
+
+    monkeypatch.setattr(lattice, "same_class", refuse)
+    assert not eta(concat(W0, ROOT), keep_vectors=False).all_in_class
+    assert checked == [1]
+    assert not eta(concat(W0, ROOT)).all_in_class
+    assert checked == [1, 2]
+
+
+def test_eta_refuses_to_list_above_cap(monkeypatch):
+    assert LIST_CAP == 16 ** 4
+    w = concat(*([W0] * 5))
+    monkeypatch.setattr(lattice, "congruent_vectors",
+                        lambda w: pytest.fail("enumerated a refused class"))
+    with pytest.raises(LatticeError):
+        eta(w)
+    assert eta(w, keep_vectors=False).count == 16 ** 5
+    monkeypatch.undo()
+    monkeypatch.setattr(lattice, "LIST_CAP", 16)
+    assert len(eta(W0).vectors) == 16
+    with pytest.raises(LatticeError):
+        eta(concat(W0, ROOT))
