@@ -256,13 +256,11 @@ def _members_in_class(w: LatticeVector, per_block: list) -> bool:
     return True
 
 
-def congruent_vectors(w: LatticeVector) -> list:
-    """All v with v^2 = w^2 and v congruent to w mod twice the lattice.
+def _combine(w: LatticeVector, target: int, per_block: list) -> list:
+    """The block members combined into vectors of doubled norm target.
 
-    Complete by the definiteness of the form; sorted by coordinates.
+    per_block is what _class_groups(w) returns; sorted by coordinates.
     """
-    require_member(w)
-    target, per_block = _class_groups(w)
     suffix_min = [0] * (w.blocks + 1)
     for b in range(w.blocks - 1, -1, -1):
         suffix_min[b] = suffix_min[b + 1] + min(per_block[b])
@@ -283,6 +281,16 @@ def congruent_vectors(w: LatticeVector) -> list:
     combine(0, target, (), results)
     results.sort()
     return [LatticeVector(w.blocks, tup) for tup in results]
+
+
+def congruent_vectors(w: LatticeVector) -> list:
+    """All v with v^2 = w^2 and v congruent to w mod twice the lattice.
+
+    Complete by the definiteness of the form; sorted by coordinates.
+    """
+    require_member(w)
+    target, per_block = _class_groups(w)
+    return _combine(w, target, per_block)
 
 
 def is_extremal(w: LatticeVector) -> bool:
@@ -307,30 +315,33 @@ def eta(w: LatticeVector, workers: Optional[int] = None,
         keep_vectors: bool = True) -> EtaResult:
     """Count of the vectors congruent to w with the same norm.
 
-    Every vector is weighted +1, so count is the number of vectors.
-    Without keep_vectors, count is read off the convolution of the
-    per-block member series (see the module docstring), no vector is built,
-    and all_in_class checks every block member against its block of w.
-    With keep_vectors, a class of more than LIST_CAP vectors is refused
-    with LatticeError before any is built; otherwise congruent_vectors
-    enumerates them, count is their number and all_in_class checks each.
-    workers is accepted and ignored (see the module docstring), as is the
-    FLOER_WORKBENCH_THREADS environment variable.
+    Every vector is weighted +1, so count is the number of vectors.  count
+    is read off the convolution of the per-block member series (see the
+    module docstring), and all_in_class checks every block member against
+    its block of w with same_class; neither builds a full-length vector.
+    keep_vectors (the default) adds the vectors themselves, combined from
+    the same block members and sorted as congruent_vectors sorts them.
+    Listing is refused with LatticeError, before any vector is built, for
+    a class of more than LIST_CAP vectors, so a default eta(w) raises there
+    (w0^5 and up); a caller who needs only the count passes
+    keep_vectors=False, which has no cap.  workers is accepted and ignored
+    (see the module docstring), as is the FLOER_WORKBENCH_THREADS
+    environment variable.
     """
     require_member(w)
     target, per_block = _class_groups(w)
     if sum(min(groups) for groups in per_block) != target:
         warnings.warn("eta evaluated at a non-extremal vector", stacklevel=2)
     count = _series_coefficient(target, per_block)
-    if not keep_vectors:
-        return EtaResult(vectors=(), count=Fraction(count),
-                         all_in_class=_members_in_class(w, per_block))
-    if count > LIST_CAP:
-        raise LatticeError("the class has %d vectors, more than the %d "
-                           "that can be listed" % (count, LIST_CAP))
-    vectors = tuple(congruent_vectors(w))
-    return EtaResult(vectors=vectors, count=Fraction(len(vectors)),
-                     all_in_class=all(same_class(v, w) for v in vectors))
+    vectors = ()
+    if keep_vectors:
+        if count > LIST_CAP:
+            raise LatticeError("the class has %d vectors, more than the %d "
+                               "that can be listed" % (count, LIST_CAP))
+        vectors = tuple(_combine(w, target, per_block))
+        assert len(vectors) == count
+    return EtaResult(vectors=vectors, count=Fraction(count),
+                     all_in_class=_members_in_class(w, per_block))
 
 
 def min_charge_k(w: LatticeVector) -> int:

@@ -323,7 +323,12 @@ def test_convolved_count_matches_enumeration_on_mixed_classes():
             result = eta(w, keep_vectors=False)
         assert result.vectors == ()
         assert result.all_in_class
-        assert result.count == len(congruent_vectors(w)), w
+        enumerated = congruent_vectors(w)
+        assert result.count == len(enumerated), w
+        if len(enumerated) <= LIST_CAP:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                assert eta(w).vectors == tuple(enumerated), w
 
 
 def test_eta_count_builds_one_block_vectors_only(monkeypatch):
@@ -354,14 +359,14 @@ def test_all_in_class_comes_from_same_class(monkeypatch):
     assert not eta(concat(W0, ROOT), keep_vectors=False).all_in_class
     assert checked == [1]
     assert not eta(concat(W0, ROOT)).all_in_class
-    assert checked == [1, 2]
+    assert checked == [1, 1]
 
 
 def test_eta_refuses_to_list_above_cap(monkeypatch):
     assert LIST_CAP == 16 ** 4
     w = concat(*([W0] * 5))
-    monkeypatch.setattr(lattice, "congruent_vectors",
-                        lambda w: pytest.fail("enumerated a refused class"))
+    monkeypatch.setattr(lattice, "_combine",
+                        lambda *args: pytest.fail("enumerated a refused class"))
     with pytest.raises(LatticeError):
         eta(w)
     assert eta(w, keep_vectors=False).count == 16 ** 5
