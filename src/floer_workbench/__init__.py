@@ -55,6 +55,7 @@ from .invariants import (
     NotNilpotent,
     PhiReport,
     HReport,
+    n_map,
     nilpotency_order,
     phi_span,
     phi_filtration,
@@ -111,8 +112,9 @@ __all__ = [
     "disjoint_union_complex", "extended_u", "kernel_symmetry_check",
     "product_functional", "build_pair_cycle", "build_triple_cycle",
     "triple_cycle_condition", "verify_sum_bound",
-    "NotNilpotent", "PhiReport", "HReport", "nilpotency_order", "phi_span",
-    "phi_filtration", "phi_report", "h_invariant", "triangular_independence",
+    "NotNilpotent", "PhiReport", "HReport", "n_map", "nilpotency_order",
+    "phi_span", "phi_filtration", "phi_report", "h_invariant",
+    "triangular_independence",
     "FixtureError", "ParseError", "SemanticError", "fixture_names",
     "split_fixture_spec", "builtin", "fixture_description",
     "distinguished_generators", "random_admissible", "random_homology_sphere",

@@ -25,7 +25,7 @@ from .homology import (DegreeMismatch, DescentObstruction, cycle_basis,
                        euler_characteristic_mod2,
                        homology as graded_homology, pair, reduce_to_homology)
 from .lattice import LatticeError
-from .linalg import RatMatrix, format_rational
+from .linalg import format_rational
 
 # Where each public operation is surfaced.  One home per operation; shared
 # plumbing (validation, fixture loading) naturally also runs elsewhere.
@@ -40,7 +40,8 @@ COMMAND_TABLE = {
     "disjoint-union": ("connect_sum.disjoint_union_complex",
                        "connect_sum.extended_u", "connect_sum.kernel_symmetry_check"),
     "phi": ("invariants.phi_span", "invariants.phi_filtration",
-            "invariants.phi_report", "invariants.nilpotency_order"),
+            "invariants.phi_report", "invariants.nilpotency_order",
+            "invariants.n_map"),
     "h": ("invariants.h_invariant", "invariants.triangular_independence",
           "homology.pair"),
     "eta": ("lattice.eta", "lattice.congruent_vectors", "lattice.same_class",
@@ -330,9 +331,9 @@ def cmd_phi(args) -> int:
     rep.add("nilpotent-on-cyclic-subspace", report.nilpotent_on_cycle)
     rep.add("filtration-order", report.filtration_order)
     rep.add("agree", report.agree)
-    n_map = data.u @ data.u - RatMatrix.identity(data.size).scale(4)
     try:
-        rep.add("nilpotency-order-global", invariants.nilpotency_order(n_map))
+        rep.add("nilpotency-order-global",
+                invariants.nilpotency_order(invariants.n_map(data.u)))
     except invariants.NotNilpotent:
         rep.add("nilpotency-order-global", None)
     rep.emit(args.json)
@@ -411,10 +412,7 @@ def cmd_extremal(args) -> int:
 
 
 def _bound_factor(label, spec, path, u_param, functional_name):
-    if not spec and not path:
-        raise UsageError("missing %s factor: pass a fixture spec or a document path"
-                         % label)
-    data, _ = _load_data(spec, path, u_param)
+    data, _ = _load_factor(label, spec, path, u_param)
     if not data.complex.differential.is_zero():
         data = reduce_to_homology(data)
     f = None
@@ -614,8 +612,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="list the vectors; refused for a class of more than %d"
                         % lattice.LIST_CAP)
     p.add_argument("--workers", type=int,
-                   help="accepted and ignored, as is FLOER_WORKBENCH_THREADS; "
-                        "the enumeration runs in one thread")
+                   help="accepted and ignored: the search runs in one thread; "
+                        "kept for existing scripts and due to be removed")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("extremal", help="extremality and minimal charge index")

@@ -54,7 +54,7 @@ from typing import Optional
 
 from .complexes import (DEGREE_MOD, FloerData, GradedComplex, Kind,
                         require_valid)
-from .invariants import nilpotency_order
+from .invariants import NotNilpotent, n_map, nilpotency_order
 from .linalg import (LinearSolver, RatMatrix, Vector, dot, kernel_basis,
                      solve_columns, vec_add, vec_scale, vec_sub)
 
@@ -313,12 +313,10 @@ def _tag_part(cs: ConnectSumComplex, z: Vector, tag: SummandTag) -> dict:
 
 def _factor_apply(op: RatMatrix, axis: int, tensor: dict) -> dict:
     """Apply an even-degree operator to one slot of a tensor dict."""
-    by_col = {}
-    for (r, c), v in op.entries.items():
-        by_col.setdefault(c, []).append((r, v))
+    by_col = op._column_view()
     out = {}
     for key, coeff in tensor.items():
-        for r, v in by_col.get(key[axis], ()):
+        for r, v in by_col.get(key[axis], {}).items():
             new_key = key[:axis] + (r,) + key[axis + 1:]
             s = out.get(new_key, 0) + coeff * v
             if s:
@@ -326,6 +324,13 @@ def _factor_apply(op: RatMatrix, axis: int, tensor: dict) -> dict:
             else:
                 out.pop(new_key, None)
     return out
+
+
+def _iterate(op: RatMatrix, v: Vector, k: int) -> Vector:
+    """op applied k times to v."""
+    for _ in range(k):
+        v = op.apply(v)
+    return v
 
 
 def kernel_symmetry_check(cs: ConnectSumComplex, z: Vector) -> bool:
@@ -381,16 +386,12 @@ def _require_reduced(data: FloerData, label: str) -> None:
         raise ValueError("%s factor must be reduced (zero differential)" % label)
 
 
-def _n_map(data: FloerData) -> RatMatrix:
-    return data.u @ data.u - RatMatrix.identity(data.size).scale(4)
-
-
-def _odd_n_map(data: FloerData, n_map: RatMatrix) -> RatMatrix:
-    """n_map restricted to the generators in degrees 1 and 5."""
+def _odd_n_map(data: FloerData, n_op: RatMatrix) -> RatMatrix:
+    """n_op restricted to the generators in degrees 1 and 5."""
     sub = sorted(data.complex.indices_in_degree(1) + data.complex.indices_in_degree(5))
     local = {g: t for t, g in enumerate(sub)}
     return RatMatrix(len(sub), len(sub),
-                     {(local[r], local[c]): v for (r, c), v in n_map.entries.items()
+                     {(local[r], local[c]): v for (r, c), v in n_op.entries.items()
                       if r in local and c in local})
 
 
@@ -438,17 +439,14 @@ def build_pair_cycle(a: FloerData, b: FloerData, wa: Vector, wb: Vector,
     a_pre = solve_columns(a.u, wa)
     if a_pre is None:
         raise ValueError("witness has no u-preimage; u is not onto it")
-    na_map, nb_map = _n_map(a), _n_map(b)
+    na_map, nb_map = n_map(a.u), n_map(b.u)
     ub_wb = b.u.apply(wb)
     alpha = {}
     left_ua = dict(wa)      # u a' equals the witness itself
     left_pre = dict(a_pre)
     for i in range(n):
-        right_b = wb
-        right_ub = ub_wb
-        for _ in range(n - 1 - i):
-            right_b = nb_map.apply(right_b)
-            right_ub = nb_map.apply(right_ub)
+        right_b = _iterate(nb_map, wb, n - 1 - i)
+        right_ub = _iterate(nb_map, ub_wb, n - 1 - i)
         for ai, av in left_ua.items():
             for bj, bv in right_b.items():
                 key = (ai, bj)
@@ -492,7 +490,7 @@ def build_triple_cycle(a: FloerData, b: FloerData, c: FloerData,
     # (u1 + u2)(u1 + u3) applied once
     t = vec_add(_factor_apply(a.u, 0, base), _factor_apply(b.u, 1, base))
     t = vec_add(_factor_apply(a.u, 0, t), _factor_apply(c.u, 2, t))
-    na_map, nb_map, nc_map = _n_map(a), _n_map(b), _n_map(c)
+    na_map, nb_map, nc_map = n_map(a.u), n_map(b.u), n_map(c.u)
 
     # cache N-powers applied per axis: power p applied to t is expensive,
     # so accumulate axis by axis over the (i, j) grid
@@ -519,20 +517,16 @@ def triple_cycle_condition(a: FloerData, b: FloerData, c: FloerData,
     return not w
 
 
-def _functional_order(f: Vector, n_map: RatMatrix, limit: int) -> int:
+def _functional_order(f: Vector, n_op: RatMatrix, limit: int) -> int:
     """Least k with f o N^k = 0."""
     current = dict(f)
     k = 0
     while current:
         if k > limit:
             raise ValueError("functional filtration does not terminate")
-        current = n_map.apply_functional(current)
+        current = n_op.apply_functional(current)
         k += 1
     return k
-
-
-def _degree_one_indices(data: FloerData) -> list:
-    return data.complex.indices_in_degree(1)
 
 
 def _find_witness(data: FloerData, f: Vector, k: int) -> Vector:
@@ -541,14 +535,14 @@ def _find_witness(data: FloerData, f: Vector, k: int) -> Vector:
     Scans the canonical kernel basis of the lower functionals, so the choice
     is deterministic for fixed data.
     """
-    ones = _degree_one_indices(data)
+    ones = data.complex.indices_in_degree(1)
     local = {g: t for t, g in enumerate(ones)}
-    n_map = _n_map(data)
+    n_op = n_map(data.u)
     rows = []
     current = dict(f)
     for _ in range(k - 1):
         rows.append(current)
-        current = n_map.apply_functional(current)
+        current = n_op.apply_functional(current)
     top = current  # f o N^(k-1)
     constraint = RatMatrix(len(rows), len(ones),
                            {(r, local[g]): v for r, row in enumerate(rows)
@@ -583,14 +577,19 @@ def _prepare_factor(data: FloerData, f: Optional[Vector], n: int, label: str):
         f = dict(data.delta)
     if not f:
         raise ValueError("%s factor carries no functional" % label)
-    ones = set(_degree_one_indices(data))
-    if not set(f) <= ones:
+    if not set(f) <= set(data.complex.indices_in_degree(1)):
         raise ValueError("%s functional must be supported in degree 1" % label)
-    n_map = _n_map(data)
-    if not _odd_n_map(data, n_map).power(n).is_zero():
+    if n < 0:
+        raise ValueError("negative power")
+    n_op = n_map(data.u)
+    try:
+        vanishes = nilpotency_order(_odd_n_map(data, n_op)) <= n
+    except NotNilpotent:
+        vanishes = False
+    if not vanishes:
         raise ValueError("(u^2 - 4)^%d does not vanish on the %s factor" % (n, label))
-    k = _functional_order(f, n_map, data.size)
-    return f, n_map, k
+    k = _functional_order(f, n_op, data.size)
+    return f, n_op, k
 
 
 def verify_sum_bound(a: FloerData, b: FloerData, c: Optional[FloerData] = None,
@@ -619,7 +618,7 @@ def verify_sum_bound(a: FloerData, b: FloerData, c: Optional[FloerData] = None,
         n = 1
         for data, _, label in factors:
             _require_reduced(data, label)
-            n = max(n, nilpotency_order(_odd_n_map(data, _n_map(data))))
+            n = max(n, nilpotency_order(_odd_n_map(data, n_map(data.u))))
 
     prepared = [_prepare_factor(data, f, n, label) for data, f, label in factors]
     orders = tuple(k for _, _, k in prepared)
@@ -638,7 +637,7 @@ def verify_sum_bound(a: FloerData, b: FloerData, c: Optional[FloerData] = None,
             % (orders, n, level))
 
     witnesses = []
-    for (data, _, _), (f, n_map, k) in zip(factors, prepared):
+    for (data, _, _), (f, _, k) in zip(factors, prepared):
         witnesses.append(_find_witness(data, f, k))
 
     if c is None:
@@ -649,8 +648,8 @@ def verify_sum_bound(a: FloerData, b: FloerData, c: Optional[FloerData] = None,
         for _ in range(level):
             shifted = _factor_apply(nb_map, 1, shifted)
         pairing = product_functional(a, b, f_a, f_b, shifted)
-        ev_a = dot(f_a, na_map.power(ka - 1).apply(witnesses[0]))
-        ev_b = dot(f_b, nb_map.power(kb - 1).apply(witnesses[1]))
+        ev_a = dot(f_a, _iterate(na_map, witnesses[0], ka - 1))
+        ev_b = dot(f_b, _iterate(nb_map, witnesses[1], kb - 1))
         witness_values = (ev_a, ev_b)
         expected = Fraction(1, 2) * ev_a * ev_b
     else:
@@ -671,9 +670,9 @@ def verify_sum_bound(a: FloerData, b: FloerData, c: Optional[FloerData] = None,
         pairing = Fraction(1, 4) * total
         # the surviving term carries u^2 on the first slot
         u2a = a.u @ a.u
-        ev_a = dot(f_a, u2a.apply(na_map.power(ka - 1).apply(witnesses[0])))
-        ev_b = dot(f_b, nb_map.power(kb - 1).apply(witnesses[1]))
-        ev_c = dot(f_c, nc_map.power(kc - 1).apply(witnesses[2]))
+        ev_a = dot(f_a, u2a.apply(_iterate(na_map, witnesses[0], ka - 1)))
+        ev_b = dot(f_b, _iterate(nb_map, witnesses[1], kb - 1))
+        ev_c = dot(f_c, _iterate(nc_map, witnesses[2], kc - 1))
         witness_values = (ev_a, ev_b, ev_c)
         expected = Fraction(1, 4) * ev_a * ev_b * ev_c
 

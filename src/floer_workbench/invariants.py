@@ -22,12 +22,9 @@ class NotNilpotent(ValueError):
     """(u^2 - 4) fails to be nilpotent where the filtration reading needs it."""
 
 
-def _u_squared(u0: RatMatrix) -> RatMatrix:
-    return u0 @ u0
-
-
-def _n_map(u0: RatMatrix) -> RatMatrix:
-    return _u_squared(u0) - RatMatrix.identity(u0.rows).scale(4)
+def n_map(u0: RatMatrix) -> RatMatrix:
+    """The filtration operator N = u^2 - 4."""
+    return u0 @ u0 - RatMatrix.identity(u0.rows).scale(4)
 
 
 def nilpotency_order(m: RatMatrix) -> int:
@@ -58,7 +55,7 @@ def phi_span(u0: RatMatrix, psi: Vector) -> int:
     The iteration stops at the first dependent vector; the span is invariant
     under u^2 from that point on.
     """
-    return _span_of_iterates(_u_squared(u0), psi)
+    return _span_of_iterates(u0 @ u0, psi)
 
 
 def phi_filtration(u0: RatMatrix, psi: Vector) -> int:
@@ -67,13 +64,13 @@ def phi_filtration(u0: RatMatrix, psi: Vector) -> int:
     Raises NotNilpotent when no k up to the ambient dimension works, which
     is exactly failure of nilpotency on the cyclic subspace of psi.
     """
-    n_map = _n_map(u0)
+    op = n_map(u0)
     current = dict(psi)
     k = 0
     while current:
         if k > u0.rows:
             raise NotNilpotent("(u^2 - 4)^k psi never vanishes")
-        current = n_map.apply(current)
+        current = op.apply(current)
         k += 1
     return k
 
@@ -122,9 +119,8 @@ def h_invariant(data: FloerData) -> HReport:
     """
     if not data.complex.differential.is_zero():
         raise ValueError("h_invariant needs reduced data (zero differential)")
-    u2t = _u_squared(data.u).transpose()
-    dim_f = _span_of_iterates(u2t, data.delta) if data.delta else 0
-    u2 = _u_squared(data.u)
+    u2 = data.u @ data.u
+    dim_f = _span_of_iterates(u2.transpose(), data.delta) if data.delta else 0
     dim_v = _span_of_iterates(u2, data.delta_prime) if data.delta_prime else 0
     return HReport(
         dim_functional_span=dim_f,
@@ -143,7 +139,7 @@ def triangular_independence(f: Vector, alpha: Vector, u0: RatMatrix) -> int:
     that bound, or 0 when every evaluation up to the ambient dimension
     vanishes.
     """
-    u2 = _u_squared(u0)
+    u2 = u0 @ u0
     current = dict(alpha)
     for j in range(u0.rows + 1):
         if dot(f, current):

@@ -23,8 +23,11 @@ Serre, A Course in Arithmetic ch. VII).  `eta` counts by this convolution
 and never builds a full-length vector unless its vectors are asked for;
 only then are the block members combined into vectors under the exact
 total-norm target, sorted by coordinates.  Listing is refused above
-LIST_CAP vectors.  Everything runs in one thread: the search is pure
-Python, which the GIL would serialise across threads anyway.
+LIST_CAP vectors.
+
+Every class of E8/2E8 has a member of norm at most 4 (doubled norm 16),
+so a block's class minimum is searched under that budget whatever the
+block's own norm.
 """
 
 from __future__ import annotations
@@ -205,11 +208,14 @@ def _block_class_members(wb: tuple, budget_q: int) -> dict:
     return {q: sorted(vs) for q, vs in sorted(found.items())}
 
 
+# Every class of E8/2E8 has a member of doubled norm at most this.
+_CLASS_MIN_BUDGET = 16
+
+
 def _block_class_min(wb: tuple) -> int:
     """Least doubled norm in the class of one block."""
     own = sum(c * c for c in wb)
-    members = _block_class_members(wb, own)
-    return min(members)
+    return min(_block_class_members(wb, min(own, _CLASS_MIN_BUDGET)))
 
 
 def _class_groups(w: LatticeVector) -> tuple:
@@ -311,8 +317,7 @@ class EtaResult:
     all_in_class: bool
 
 
-def eta(w: LatticeVector, workers: Optional[int] = None,
-        keep_vectors: bool = True) -> EtaResult:
+def eta(w: LatticeVector, keep_vectors: bool = True) -> EtaResult:
     """Count of the vectors congruent to w with the same norm.
 
     Every vector is weighted +1, so count is the number of vectors.  count
@@ -324,9 +329,9 @@ def eta(w: LatticeVector, workers: Optional[int] = None,
     Listing is refused with LatticeError, before any vector is built, for
     a class of more than LIST_CAP vectors, so a default eta(w) raises there
     (w0^5 and up); a caller who needs only the count passes
-    keep_vectors=False, which has no cap.  workers is accepted and ignored
-    (see the module docstring), as is the FLOER_WORKBENCH_THREADS
-    environment variable.
+    keep_vectors=False, which has no cap.  The search runs in one thread;
+    the CLI's `eta --workers` is accepted and ignored and reaches no
+    parameter here.
     """
     require_member(w)
     target, per_block = _class_groups(w)

@@ -13,11 +13,12 @@ division by the gcd of its entries and, when a nonnegative index survives,
 stored under the smallest one and back-substituted into the other rows.
 Each stored row is a multiple of a row of the reduced row echelon form of
 the span, so results do not depend on the row order or on the elimination
-path.  rref_rows, kernel_basis and image_basis read that basis;
-LinearSolver keeps one incrementally, with each row's expression over the
-added vectors riding along under negative keys.  Fractions are built only
-for returned values.  rank keeps a separate Fraction elimination with
-Markowitz pivoting, as an independent check on the integer one.
+path.  rref_rows, kernel_basis and image_basis read that basis, and rank
+counts its pivots; LinearSolver keeps one incrementally, with each row's
+expression over the added vectors riding along under negative keys.
+Fractions are built only for returned values.  The independent check on
+this eliminator is a Fraction elimination with Markowitz pivoting, kept
+with the tests (tests/markowitz.py).
 """
 
 from __future__ import annotations
@@ -192,12 +193,10 @@ class RatMatrix:
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matmul")
-        by_row = {}
-        for (r, c), v in other.entries.items():
-            by_row.setdefault(r, []).append((c, v))
+        by_row = other._row_view()
         acc = {}
         for (r, k), v in self.entries.items():
-            for c, w in by_row.get(k, ()):
+            for c, w in by_row.get(k, {}).items():
                 key = (r, c)
                 s = acc.get(key, 0) + v * w
                 if s:
@@ -205,16 +204,6 @@ class RatMatrix:
                 else:
                     acc.pop(key, None)
         return RatMatrix(self.rows, other.cols, acc)
-
-    def power(self, k: int) -> "RatMatrix":
-        if self.rows != self.cols:
-            raise ValueError("power of a non-square matrix")
-        if k < 0:
-            raise ValueError("negative power")
-        out = RatMatrix.identity(self.rows)
-        for _ in range(k):
-            out = out @ self
-        return out
 
     def _column_view(self) -> dict:
         """col -> {row: value} over the nonzero columns, built once."""
@@ -293,52 +282,9 @@ def outer(v: Vector, f: Vector, rows: int, cols: int) -> RatMatrix:
     return RatMatrix(rows, cols, entries)
 
 
-def _markowitz_rank(entries: dict) -> int:
-    """Rank by exact elimination with Markowitz pivoting.
-
-    Pivot minimizes (row fill - 1) * (col fill - 1) with ties broken on the
-    (row, col) pair, which bounds fill-in and keeps the run deterministic.
-    """
-    rows = {}
-    for (r, c), v in entries.items():
-        rows.setdefault(r, {})[c] = v
-    rank = 0
-    while rows:
-        col_count = {}
-        for cols in rows.values():
-            for c in cols:
-                col_count[c] = col_count.get(c, 0) + 1
-        best = None
-        for r in rows:
-            row_fill = len(rows[r])
-            for c in rows[r]:
-                score = (row_fill - 1) * (col_count[c] - 1)
-                key = (score, r, c)
-                if best is None or key < best:
-                    best = key
-        _, pr, pc = best
-        pivot_row = rows.pop(pr)
-        pivot_val = pivot_row[pc]
-        rank += 1
-        for r in list(rows):
-            row = rows[r]
-            coeff = row.get(pc)
-            if not coeff:
-                continue
-            factor = coeff / pivot_val
-            for c, v in pivot_row.items():
-                s = row.get(c, 0) - factor * v
-                if s:
-                    row[c] = s
-                else:
-                    row.pop(c, None)
-            if not row:
-                del rows[r]
-    return rank
-
-
 def rank(m: RatMatrix) -> int:
-    return _markowitz_rank(m.entries)
+    """Number of pivots the shared eliminator keeps for the rows of m."""
+    return len(_integer_rref(m._row_view().values()))
 
 
 def _primitive(row: dict) -> None:

@@ -42,8 +42,9 @@ from floer_workbench.lattice import (
     parse_vector,
     same_class,
 )
-from floer_workbench.linalg import RatMatrix, kernel_basis, rank, vector
+from floer_workbench.linalg import RatMatrix, kernel_basis, vector
 from floer_workbench import cli
+from markowitz import markowitz_rank
 
 
 def conclude(num, started, budget, ok, detail):
@@ -145,7 +146,7 @@ def union_dims_oracle(a, b):
     for r in range(8):
         ker_block, _ = block((r - 4) % 8, r)
         coker_block, nrows = block((r - 3) % 8, (r + 1) % 8)
-        total = len(kernel_basis(ker_block)) + nrows - rank(coker_block)
+        total = len(kernel_basis(ker_block)) + nrows - markowitz_rank(coker_block.entries)
         if total:
             dims[r] = total
     return dims
@@ -278,13 +279,15 @@ def test_criterion_09_lattice():
         stacked = concat(*([w0] * n))
         ok = ok and eta(stacked, keep_vectors=False).count == base.count ** n
 
-    # naive grid brute force, one block
+    # naive grid brute force, one block; a point of another doubled squared
+    # length cannot have w0's norm, so its vector is never built
     target = norm(w0)
+    target_q = sum(c * c for c in w0.doubled)
     found = 0
     for parity in (0, 1):
         coords = [c for c in range(-4, 5) if abs(c % 2) == parity]
         for combo in itertools.product(coords, repeat=8):
-            if sum(combo) % 4 != 0:
+            if sum(combo) % 4 != 0 or sum(c * c for c in combo) != target_q:
                 continue
             v = from_coords([Fraction(c, 2) for c in combo])
             if norm(v) == target and same_class(v, w0):

@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from floer_workbench import cli
+from floer_workbench import cli, lattice
 
 
 def run(capsys, *argv):
@@ -193,6 +193,31 @@ def test_eta_list_prints_exact_coordinates(capsys):
     assert code == 0
     assert ": -3/2 1/2 1/2 1/2 1/2 1/2 1/2 1/2\n" in out
     assert ": 3/2 -1/2 -1/2 -1/2 -1/2 -1/2 -1/2 -1/2\n" in out
+
+
+def test_sum_bound_refusal_exits_one(capsys):
+    code, out, err = run(capsys, "verify-sum-bound", "--a", "NilpotentLadder:3",
+                         "--b", "NilpotentLadder:1", "--n", "2")
+    assert code == 1
+    assert out == ""
+    assert err == "error: (u^2 - 4)^2 does not vanish on the left factor\n"
+
+
+def test_extremal_class_minimum_search_is_capped(capsys, monkeypatch):
+    # the block's own doubled norm is 128; its class minimum is searched
+    # under 16, so the answer comes at once
+    budgets = []
+    search = lattice._block_class_members
+
+    def recorded(wb, budget_q):
+        budgets.append(budget_q)
+        return search(wb, budget_q)
+
+    monkeypatch.setattr(lattice, "_block_class_members", recorded)
+    code, out, _ = run(capsys, "extremal", "--class", "8,8,0,0,0,0,0,0")
+    assert code == 0
+    assert "extremal: false\n" in out
+    assert budgets and max(budgets) <= 16
 
 
 def test_eta_list_refused_above_cap(capsys):

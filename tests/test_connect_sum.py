@@ -25,11 +25,11 @@ from floer_workbench.homology import homology, reduce_to_homology
 from floer_workbench.linalg import (
     RatMatrix,
     kernel_basis,
-    rank,
     vec_add,
     vec_scale,
     vector,
 )
+from markowitz import markowitz_rank
 
 
 def ladder(k):
@@ -282,7 +282,7 @@ def union_dims_oracle(a, b):
         ker_block, ncols, _ = graded_block((r - 4) % 8, r)
         ker_dim = len(kernel_basis(ker_block))
         coker_block, _, nrows = graded_block((r - 3) % 8, (r + 1) % 8)
-        coker_dim = nrows - rank(coker_block)
+        coker_dim = nrows - markowitz_rank(coker_block.entries)
         if ker_dim + coker_dim:
             dims[r] = ker_dim + coker_dim
     return dims
@@ -491,6 +491,16 @@ def test_sum_bound_rejects_negative_level():
                          fa=unit_functional(a, "z1"),
                          fb=unit_functional(b, "z1"),
                          fc=unit_functional(c, "z2"))
+
+
+def test_sum_bound_refuses_n_below_a_factors_nilpotency_order():
+    # (u^2 - 4) has order 3 on ladder(3), and Pminus's is not nilpotent
+    b = ladder(1)
+    for a, fa in ((ladder(3), "z3"), (builtin("Pminus"), "rho1")):
+        with pytest.raises(ValueError) as info:
+            verify_sum_bound(a, b, n=2, fa=unit_functional(a, fa),
+                             fb=unit_functional(b, "z1"))
+        assert str(info.value) == "(u^2 - 4)^2 does not vanish on the left factor"
 
 
 def test_sum_bound_reduces_inputs_first():

