@@ -36,7 +36,6 @@ from .homology import (
 from .connect_sum import (
     SignConfig,
     SignSearchError,
-    SummandTag,
     ConnectSumComplex,
     SumBoundReport,
     DEFAULT_SIGNS,
@@ -107,7 +106,7 @@ __all__ = [
     "GradedVectorSpace", "DescentObstruction", "DegreeMismatch",
     "cycle_basis", "boundary_basis", "homology", "pair", "class_coordinates",
     "reduce_to_homology", "euler_characteristic_mod2",
-    "SignConfig", "SignSearchError", "SummandTag", "ConnectSumComplex",
+    "SignConfig", "SignSearchError", "ConnectSumComplex",
     "SumBoundReport", "DEFAULT_SIGNS", "connected_sum_complex", "sign_search",
     "disjoint_union_complex", "extended_u", "kernel_symmetry_check",
     "product_functional", "build_pair_cycle", "build_triple_cycle",

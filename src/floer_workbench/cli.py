@@ -289,24 +289,28 @@ def cmd_disjoint_union(args) -> int:
     reduced_union = connect_sum.disjoint_union_complex(ra, rb)
     samples = []
     for r in range(8):
-        for z in cycle_basis(reduced_union.total, r):
-            samples.append(z)
+        samples += cycle_basis(reduced_union.total, r)
         if len(samples) >= 6:
             break
-    results = [connect_sum.kernel_symmetry_check(reduced_union, z)
-               for z in samples[:6]]
-    rep.add("kernel-symmetry-samples", len(results))
-    rep.add("kernel-symmetry-all-true", all(results))
+    samples = samples[:6]
+    rep.add("kernel-symmetry-samples", len(samples))
+    # a factor with zero homology leaves an empty union: nothing to check
+    rep.add("kernel-symmetry-all-true",
+            not samples or connect_sum.kernel_symmetry_check(reduced_union, samples))
     rep.emit(args.json)
     return 0
 
 
+def _reduced_first(data):
+    """(data with a zero differential, whether it had to be reduced)."""
+    if data.complex.differential.is_zero():
+        return data, False
+    return reduce_to_homology(data), True
+
+
 def cmd_phi(args) -> int:
     data, source = _load_input(args)
-    reduced = False
-    if not data.complex.differential.is_zero():
-        data = reduce_to_homology(data)
-        reduced = True
+    data, reduced = _reduced_first(data)
     class_name = args.cls
     if class_name is None:
         if not args.fixture:
@@ -342,10 +346,7 @@ def cmd_phi(args) -> int:
 
 def cmd_h(args) -> int:
     data, source = _load_input(args)
-    reduced = False
-    if not data.complex.differential.is_zero():
-        data = reduce_to_homology(data)
-        reduced = True
+    data, reduced = _reduced_first(data)
     result = invariants.h_invariant(data)
     rep = Report("h")
     rep.add("source", source)
@@ -413,8 +414,7 @@ def cmd_extremal(args) -> int:
 
 def _bound_factor(label, spec, path, u_param, functional_name):
     data, _ = _load_factor(label, spec, path, u_param)
-    if not data.complex.differential.is_zero():
-        data = reduce_to_homology(data)
+    data, _ = _reduced_first(data)
     f = None
     if functional_name:
         f = {_generator_index(data, functional_name): Fraction(1)}
@@ -622,7 +622,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-sum-bound", help="kernel cycle pairing at the shifted level")
     _add_pair_args(p, third=True)
-    p.add_argument("--n", type=int, help="nilpotency exponent (default: inferred)")
+    p.add_argument("--n", type=_positive_int, help="nilpotency exponent (default: inferred)")
     p.add_argument("--functional-l", dest="functional_a", help="left functional generator")
     p.add_argument("--functional-m", dest="functional_b", help="middle/right functional generator")
     p.add_argument("--functional-r", dest="functional_c", help="right functional generator")

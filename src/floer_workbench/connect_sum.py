@@ -10,10 +10,15 @@ the total complex stacks up to four summands, numbered in this order:
     S3 = Q<theta> (x) C'     present when the left factor is a sphere kind
     S4 = C (x) C' shifted    degree sum + 3
 
-with theta generators sitting in degree 0.  The differential is a union of
-six blocks at disjoint positions.  The diagonal block D0 holds the usual
-tensor differentials (with the Koszul sign on the second slot), negated on
-S4.  Each cross block, of total degree -1, carries one sign of the family:
+with theta generators sitting in degree 0.  Generators are numbered by
+summand offsets alone: summand t holds positions offsets[t-1] up to
+offsets[t], tensor pairs (i, j) run i major (S1's pair at i * nb + j, S4's
+at o4 + i * nb + j), and shape lists the tags of the nonempty summands.
+
+The differential is a union of six blocks at disjoint positions.  The
+diagonal block D0 holds the usual tensor differentials (with the Koszul
+sign on the second slot), negated on S4.  Each cross block, of total
+degree -1, carries one sign of the family:
 
     S1 -> S2   s12 * (-1)^|a| delta'(b) (a theta')
     S1 -> S3   s13 * delta(a) (theta b)
@@ -38,6 +43,11 @@ s12 s24 = s14 and s13 s34 = -s14 whenever both boundary functionals are
 active.  The default configuration (1, 1, 1, 1, -1) satisfies both
 constraints, so it squares to zero for every pair of valid inputs.
 
+On a disjoint union (shape (1, 4)), extended_u places u (x) I at the same
+offsets on S1 and S4, and kernel_symmetry_check tests that the placements
+of u agree in homology on a list of cycles, against one boundary solver
+for the whole list.
+
 Kernel elements of the u-difference map are built by the telescoping
 identities checked in polyid; the pairing machinery evaluates product
 functionals on them exactly.
@@ -45,7 +55,6 @@ functionals on them exactly.
 
 from __future__ import annotations
 
-import enum
 import itertools
 import math
 from dataclasses import dataclass
@@ -61,13 +70,6 @@ from .linalg import (LinearSolver, RatMatrix, Vector, dot, kernel_basis,
 
 class SignSearchError(ValueError):
     """No sign configuration in the family squares the differential to zero."""
-
-
-class SummandTag(enum.IntEnum):
-    TENSOR = 1
-    LEFT_THETA = 2     # C (x) theta'
-    THETA_RIGHT = 3    # theta (x) C'
-    TENSOR_SHIFTED = 4
 
 
 SIGN_NAMES = ("s12", "s13", "s14", "s24", "s34")
@@ -93,34 +95,34 @@ class SignConfig:
 DEFAULT_SIGNS = SignConfig()
 
 
-@dataclass(frozen=True)
-class SummandGenerator:
-    tag: SummandTag
-    left: Optional[int]   # index into the left factor, None for theta
-    right: Optional[int]  # index into the right factor, None for theta
-
-
 @dataclass
 class ConnectSumComplex:
     left: FloerData
     right: FloerData
     total: GradedComplex
-    summands: tuple
     signs: SignConfig
-    shape: tuple  # tags present, e.g. (1, 4) or (1, 2, 3, 4)
+    offsets: tuple  # (0, o2, o3, o4, size): summand t spans offsets[t-1:t+1]
 
-    def indices_with_tag(self, tag: SummandTag) -> list:
-        return [i for i, s in enumerate(self.summands) if s.tag == tag]
+    @property
+    def shape(self) -> tuple:
+        """Tags of the nonempty summands, e.g. (1, 4) or (1, 2, 3, 4)."""
+        return tuple(t for t in range(1, 5)
+                     if self.offsets[t] > self.offsets[t - 1])
+
+    def indices_with_tag(self, tag: int) -> list:
+        return list(range(self.offsets[tag - 1], self.offsets[tag]))
 
 
 class _Assembly:
     """Generators of a sum complex and the six blocks of its differential.
 
-    Generators run through S1, S2, S3, S4 in turn, tensor pairs (i, j) with
-    i major: S1's pair (i, j) sits at i * nb + j, and S4's at the same
-    offset past the S1, S2 and S3 generators.  `diagonal` and the `cross`
-    blocks (keyed by sign name) are full-size matrices with disjoint
-    supports.
+    Generators run through S1, S2, S3, S4 in turn; summand t occupies
+    positions offsets[t-1] up to offsets[t], with offsets = (0, o2, o3, o4,
+    size), and this is the only numbering of the total complex.  Tensor
+    pairs (i, j) run i major: S1's pair sits at i * nb + j and S4's at
+    o4 + i * nb + j; S2's left generator i sits at o2 + i and S3's right
+    generator j at o3 + j.  `diagonal` and the `cross` blocks (keyed by sign
+    name) are full-size matrices with disjoint supports.
     """
 
     def __init__(self, a: FloerData, b: FloerData, theta_right: bool,
@@ -132,6 +134,7 @@ class _Assembly:
         o3 = o2 + n2
         o4 = o3 + n3
         self.size = o4 + na * nb
+        self.offsets = (0, o2, o3, o4, self.size)
 
         pairs = [(i, j) for i in range(na) for j in range(nb)]
         an, ad = a.complex.names, a.complex.degrees
@@ -143,11 +146,6 @@ class _Assembly:
         self.degrees = ([(ad[i] + bd[j]) % DEGREE_MOD for i, j in pairs]
                         + list(ad[:n2]) + list(bd[:n3])
                         + [(ad[i] + bd[j] + 3) % DEGREE_MOD for i, j in pairs])
-        self.summands = (
-            [SummandGenerator(SummandTag.TENSOR, i, j) for i, j in pairs]
-            + [SummandGenerator(SummandTag.LEFT_THETA, i, None) for i in range(n2)]
-            + [SummandGenerator(SummandTag.THETA_RIGHT, None, j) for j in range(n3)]
-            + [SummandGenerator(SummandTag.TENSOR_SHIFTED, i, j) for i, j in pairs])
 
         eps = [-1 if deg % 2 else 1 for deg in ad]  # Koszul sign past the left slot
         diagonal, x12, x13, x14, x24, x34 = {}, {}, {}, {}, {}, {}
@@ -230,10 +228,8 @@ def _finish(asm: _Assembly, a, b, signs: SignConfig) -> ConnectSumComplex:
         raise SignSearchError("differential does not square to zero for signs %s"
                               % (signs.as_tuple(),))
     total = GradedComplex(tuple(asm.names), tuple(asm.degrees), diff)
-    shape = tuple(sorted({int(s.tag) for s in asm.summands}))
-    return ConnectSumComplex(left=a, right=b, total=total,
-                             summands=tuple(asm.summands), signs=signs,
-                             shape=shape)
+    return ConnectSumComplex(left=a, right=b, total=total, signs=signs,
+                             offsets=asm.offsets)
 
 
 def connected_sum_complex(a: FloerData, b: FloerData,
@@ -289,26 +285,13 @@ def extended_u(cs: ConnectSumComplex) -> RatMatrix:
     """The action u (x) I on both tensor summands of a disjoint union."""
     if cs.shape != (1, 4):
         raise ValueError("extended u is defined on two-summand complexes")
-    asm_index = {}
-    for pos, s in enumerate(cs.summands):
-        asm_index[(int(s.tag), s.left, s.right)] = pos
-    n = len(cs.summands)
+    nb, o4, n = cs.right.size, cs.offsets[3], cs.total.size
     ent = {}
     for (r, c), v in cs.left.u.entries.items():
-        for j in range(cs.right.size):
-            ent[(asm_index[(1, r, j)], asm_index[(1, c, j)])] = v
-            ent[(asm_index[(4, r, j)], asm_index[(4, c, j)])] = v
+        for j in range(nb):
+            ent[(r * nb + j, c * nb + j)] = v
+            ent[(o4 + r * nb + j, o4 + c * nb + j)] = v
     return RatMatrix(n, n, ent)
-
-
-def _tag_part(cs: ConnectSumComplex, z: Vector, tag: SummandTag) -> dict:
-    """Extract the tag part of a total vector as a tensor dict (i, j) -> c."""
-    out = {}
-    for pos, val in z.items():
-        s = cs.summands[pos]
-        if s.tag == tag:
-            out[(s.left, s.right)] = val
-    return out
 
 
 def _factor_apply(op: RatMatrix, axis: int, tensor: dict) -> dict:
@@ -333,48 +316,41 @@ def _iterate(op: RatMatrix, v: Vector, k: int) -> Vector:
     return v
 
 
-def kernel_symmetry_check(cs: ConnectSumComplex, z: Vector) -> bool:
-    """On a disjoint-union cycle, the three placements of u agree in homology.
+def kernel_symmetry_check(cs: ConnectSumComplex, cycles: list) -> bool:
+    """On disjoint-union cycles, the three placements of u agree in homology.
 
-    Compares u (x) I on both parts against the mixed placement and against
-    I (x) u', testing that consecutive differences are boundaries.  Raises
-    ValueError when z is not a cycle.
+    The placements are u (x) I on both tensor summands, the mixed one
+    (I (x) u' on S1, u (x) I on S4) and I (x) u' on both.  Consecutive
+    placements differ on one summand only, by the u difference
+    u (x) I - I (x) u' of that part of the cycle; the check is that every
+    such difference, for every cycle given, is a boundary.  One solver
+    serves all of them: it holds the columns of d one degree above any
+    difference, and since the image of d is graded, columns of other
+    degrees could not make a difference a boundary.  Raises ValueError,
+    before any elimination, when some input is not a cycle.
     """
     if cs.shape != (1, 4):
         raise ValueError("kernel symmetry concerns two-summand complexes")
     diff = cs.total.differential
-    if diff.apply(z):
+    if any(diff.apply(z) for z in cycles):
         raise ValueError("input is not a cycle")
 
-    pos_index = {}
-    for pos, s in enumerate(cs.summands):
-        pos_index[(int(s.tag), s.left, s.right)] = pos
+    nb, o4 = cs.right.size, cs.offsets[3]
+    differences = []
+    for z in cycles:
+        z1 = {divmod(p, nb): v for p, v in z.items() if p < o4}
+        z4 = {divmod(p - o4, nb): v for p, v in z.items() if p >= o4}
+        for offset, part in ((0, z1), (o4, z4)):
+            w = _u_difference(cs.left, cs.right, part)
+            differences.append({offset + i * nb + j: v for (i, j), v in w.items()})
 
-    def reassemble(part1: dict, part4: dict) -> Vector:
-        out = {}
-        for (i, j), v in part1.items():
-            out[pos_index[(1, i, j)]] = v
-        for (i, j), v in part4.items():
-            out[pos_index[(4, i, j)]] = v
-        return out
-
-    z1 = _tag_part(cs, z, SummandTag.TENSOR)
-    z4 = _tag_part(cs, z, SummandTag.TENSOR_SHIFTED)
-    ua, ub = cs.left.u, cs.right.u
-    w_left = reassemble(_factor_apply(ua, 0, z1), _factor_apply(ua, 0, z4))
-    w_mixed = reassemble(_factor_apply(ub, 1, z1), _factor_apply(ua, 0, z4))
-    w_right = reassemble(_factor_apply(ub, 1, z1), _factor_apply(ub, 1, z4))
-
-    first, second = vec_sub(w_left, w_mixed), vec_sub(w_mixed, w_right)
-    # d lowers degree by one, so a boundary in these degrees is the image of
-    # the generators one degree up; the other columns cannot contribute
     degrees = cs.total.degrees
-    targets = {degrees[i] for i in first} | {degrees[i] for i in second}
+    targets = {degrees[p] for w in differences for p in w}
     solver = LinearSolver()
     for c, deg in enumerate(degrees):
         if (deg - 1) % DEGREE_MOD in targets:
             solver.add(diff.column(c))
-    return solver.contains(first) and solver.contains(second)
+    return all(solver.contains(w) for w in differences)
 
 
 # ---------------------------------------------------------------------------
@@ -571,7 +547,21 @@ class SumBoundReport:
         return bool(self.pairing)
 
 
-def _prepare_factor(data: FloerData, f: Optional[Vector], n: int, label: str):
+def _odd_nilpotency(data: FloerData) -> tuple:
+    """N = u^2 - 4 and the nilpotency order of N on degrees 1 and 5.
+
+    Raises NotNilpotent when N has no power vanishing there.
+    """
+    n_op = n_map(data.u)
+    return n_op, nilpotency_order(_odd_n_map(data, n_op))
+
+
+def _prepare_factor(data: FloerData, f: Optional[Vector], n: int, label: str,
+                    nilpotency: Optional[tuple] = None):
+    """Functional, N and functional order of one factor, checked against n.
+
+    nilpotency is _odd_nilpotency(data) when the caller has it already.
+    """
     _require_reduced(data, label)
     if f is None:
         f = dict(data.delta)
@@ -581,12 +571,11 @@ def _prepare_factor(data: FloerData, f: Optional[Vector], n: int, label: str):
         raise ValueError("%s functional must be supported in degree 1" % label)
     if n < 0:
         raise ValueError("negative power")
-    n_op = n_map(data.u)
     try:
-        vanishes = nilpotency_order(_odd_n_map(data, n_op)) <= n
+        n_op, order = nilpotency or _odd_nilpotency(data)
     except NotNilpotent:
-        vanishes = False
-    if not vanishes:
+        order = None
+    if order is None or order > n:
         raise ValueError("(u^2 - 4)^%d does not vanish on the %s factor" % (n, label))
     k = _functional_order(f, n_op, data.size)
     return f, n_op, k
@@ -614,13 +603,15 @@ def verify_sum_bound(a: FloerData, b: FloerData, c: Optional[FloerData] = None,
     if c is not None:
         factors.append((c, fc, "right"))
 
+    nilpotency = [None] * len(factors)
     if n is None:
-        n = 1
-        for data, _, label in factors:
+        for i, (data, _, label) in enumerate(factors):
             _require_reduced(data, label)
-            n = max(n, nilpotency_order(_odd_n_map(data, n_map(data.u))))
+            nilpotency[i] = _odd_nilpotency(data)
+        n = max([1] + [order for _, order in nilpotency])
 
-    prepared = [_prepare_factor(data, f, n, label) for data, f, label in factors]
+    prepared = [_prepare_factor(data, f, n, label, known)
+                for (data, f, label), known in zip(factors, nilpotency)]
     orders = tuple(k for _, _, k in prepared)
 
     if c is None:

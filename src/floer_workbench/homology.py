@@ -135,7 +135,7 @@ def pair(f: Vector, x: Vector, degrees: Optional[dict] = None) -> Fraction:
     return dot(f, x)
 
 
-def _homology_solvers(cx: GradedComplex, space: GradedVectorSpace) -> dict:
+def _homology_solvers(space: GradedVectorSpace) -> dict:
     """Per-residue solvers seeded with boundaries, then representatives.
 
     The boundaries are the ones homology() kept on space, so no block is
@@ -155,8 +155,7 @@ def _homology_solvers(cx: GradedComplex, space: GradedVectorSpace) -> dict:
     return solvers
 
 
-def class_coordinates(cx: GradedComplex, space: GradedVectorSpace, solvers: dict,
-                      cycle: Vector, residue: int) -> Vector:
+def class_coordinates(solvers: dict, cycle: Vector, residue: int) -> Vector:
     """Coordinates of a cycle's class in the degree-residue representative basis."""
     solver, nb = solvers[residue]
     expr = solver.express(cycle)
@@ -182,7 +181,7 @@ def reduce_to_homology(data: FloerData) -> FloerData:
             % (cx.names[key[1]], cx.names[key[0]]))
 
     space = homology(cx)
-    solvers = _homology_solvers(cx, space)
+    solvers = _homology_solvers(space)
 
     order = []  # (residue, position) in generator order
     names = []
@@ -200,7 +199,7 @@ def reduce_to_homology(data: FloerData) -> FloerData:
         col = base[(r, i)]
         image = data.u.apply(space.representatives[r][i])
         target = (r - 4) % DEGREE_MOD
-        coords = class_coordinates(cx, space, solvers, image, target)
+        coords = class_coordinates(solvers, image, target)
         for j, v in coords.items():
             u_entries[(base[(target, j)], col)] = v
 
@@ -212,7 +211,7 @@ def reduce_to_homology(data: FloerData) -> FloerData:
 
     delta_prime0 = {}
     if data.delta_prime:
-        coords = class_coordinates(cx, space, solvers, dict(data.delta_prime), 4)
+        coords = class_coordinates(solvers, dict(data.delta_prime), 4)
         delta_prime0 = {base[(4, j)]: v for j, v in coords.items()}
 
     n = len(order)

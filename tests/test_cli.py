@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from floer_workbench import cli, lattice
+from floer_workbench import cli, connect_sum, lattice
 
 
 def run(capsys, *argv):
@@ -116,6 +116,15 @@ def test_poly_identities_rejects_max_n_below_one(capsys, max_n):
     assert "--max-n" in err
 
 
+@pytest.mark.parametrize("n", ["-1", "0", "two"])
+def test_verify_sum_bound_rejects_n_below_one(capsys, n):
+    code, out, err = run(capsys, "verify-sum-bound", "--a", "NilpotentLadder:2",
+                         "--b", "NilpotentLadder:2", "--n", n)
+    assert code == 2
+    assert out == ""
+    assert "--n" in err
+
+
 # ---------------------------------------------------------------------------
 # reports
 
@@ -201,6 +210,38 @@ def test_sum_bound_refusal_exits_one(capsys):
     assert code == 1
     assert out == ""
     assert err == "error: (u^2 - 4)^2 does not vanish on the left factor\n"
+
+
+def test_disjoint_union_checks_samples_against_one_solver(capsys, monkeypatch):
+    built = []
+
+    class CountedSolver(connect_sum.LinearSolver):
+        def __init__(self):
+            built.append(self)
+            super().__init__()
+
+    monkeypatch.setattr(connect_sum, "LinearSolver", CountedSolver)
+    code, out, _ = run(capsys, "disjoint-union", "--a", "NilpotentLadder:2",
+                       "--b", "NilpotentLadder:2")
+    assert code == 0
+    assert "kernel-symmetry-samples: 6\n" in out
+    assert "kernel-symmetry-all-true: true\n" in out
+    assert len(built) == 1
+
+
+def test_disjoint_union_with_acyclic_factor_checks_nothing(tmp_path, capsys):
+    # d p = q leaves no homology, so the reduced union has no generators
+    doc = tmp_path / "acyclic.txt"
+    doc.write_text("# floer-workbench fixture\nkind\n  admissible\n"
+                   "generators\n  p 1\n  q 0\ndifferential\n  p q 1\n"
+                   "u\ndelta\ndelta_prime\n")
+    code, out, err = run(capsys, "disjoint-union", "--file-a", str(doc),
+                         "--b", "NilpotentLadder:2", "--homology")
+    assert code == 0
+    assert err == ""
+    assert "homology-dims: none\n" in out
+    assert "kernel-symmetry-samples: 0\n" in out
+    assert "kernel-symmetry-all-true: true\n" in out
 
 
 def test_extremal_class_minimum_search_is_capped(capsys, monkeypatch):

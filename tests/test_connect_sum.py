@@ -22,11 +22,13 @@ from floer_workbench.connect_sum import (
 )
 from floer_workbench.fixtures import builtin, random_admissible, random_homology_sphere
 from floer_workbench.homology import homology, reduce_to_homology
+from floer_workbench.invariants import NotNilpotent
 from floer_workbench.linalg import (
     RatMatrix,
     kernel_basis,
     vec_add,
     vec_scale,
+    vec_sub,
     vector,
 )
 from markowitz import markowitz_rank
@@ -81,6 +83,61 @@ def test_shifted_summand_degrees():
         dl = a.complex.degrees[a.complex.index_of(l_name)]
         dr = a.complex.degrees[a.complex.index_of(r_name)]
         assert cx.degrees[idx] == (dl + dr + 3) % 8
+
+
+def _tag_by_name(name):
+    if name.startswith("shift."):
+        return 4
+    if name.endswith(".theta"):
+        return 2
+    if name.startswith("theta."):
+        return 3
+    return 1
+
+
+def _u_on_left_by_name(built):
+    """u (x) I on S1 and S4, placed by generator names alone."""
+    pos = {name: p for p, name in enumerate(built.total.names)}
+    an, bn = built.left.complex.names, built.right.complex.names
+    ent = {}
+    for (r, c), v in built.left.u.entries.items():
+        for y in bn:
+            for prefix in ("", "shift."):
+                ent[pos["%s%s.%s" % (prefix, an[r], y)],
+                    pos["%s%s.%s" % (prefix, an[c], y)]] = v
+    return ent
+
+
+def test_summand_layout_matches_generator_names():
+    """shape, indices_with_tag and extended_u agree with the names."""
+    rng = random.Random(77)
+    makers = (lambda: random_admissible(rng, max_gens=5),
+              lambda: random_homology_sphere(rng))
+    built_all = []
+    for _ in range(6):
+        for left, right in itertools.product(makers, repeat=2):
+            built_all.append(connected_sum_complex(left(), right()))
+    unions = []
+    for _ in range(12):
+        a = random_admissible(rng, max_gens=5)
+        b = random_admissible(rng, max_gens=5)
+        unions.append(disjoint_union_complex(a, b))
+        unions.append(disjoint_union_complex(reduce_to_homology(a),
+                                             reduce_to_homology(b)))
+    shapes = set()
+    for built in built_all + unions:
+        tags = [_tag_by_name(name) for name in built.total.names]
+        assert built.shape == tuple(sorted(set(tags)))
+        shapes.add(built.shape)
+        for t in range(1, 5):
+            assert built.indices_with_tag(t) == [p for p, g in enumerate(tags)
+                                                 if g == t]
+    for built in unions:
+        if built.shape == (1, 4):
+            assert extended_u(built).entries == _u_on_left_by_name(built)
+    # the four connected-sum shapes, unions, and an empty union left by a
+    # factor with zero homology
+    assert shapes == {(1, 4), (1, 2, 4), (1, 3, 4), (1, 2, 3, 4), ()}
 
 
 def test_p_plus_pair_homology_dims():
@@ -345,7 +402,7 @@ def test_kernel_symmetry_on_reduced_cycles():
         from floer_workbench.homology import cycle_basis
         for r in range(8):
             for z in cycle_basis(built.total, r):
-                assert kernel_symmetry_check(built, z)
+                assert kernel_symmetry_check(built, [z])
                 checked += 1
     assert checked >= 40
 
@@ -363,12 +420,74 @@ def test_kernel_symmetry_rejects_non_cycles():
             break
     assert target is not None
     with pytest.raises(ValueError):
-        kernel_symmetry_check(built, target)
+        kernel_symmetry_check(built, [target])
 
 
 def test_kernel_symmetry_accepts_empty_chain():
     built = disjoint_union_complex(ladder(1), ladder(1))
-    assert kernel_symmetry_check(built, {})
+    assert kernel_symmetry_check(built, [{}])
+
+
+def _u_on_right_by_name(built):
+    """I (x) u' on S1 and on S4, placed by generator names alone."""
+    pos = {name: p for p, name in enumerate(built.total.names)}
+    an, bn = built.left.complex.names, built.right.complex.names
+    parts = []
+    for prefix in ("", "shift."):
+        ent = {}
+        for (r, c), v in built.right.u.entries.items():
+            for x in an:
+                ent[pos["%s%s.%s" % (prefix, x, bn[r])],
+                    pos["%s%s.%s" % (prefix, x, bn[c])]] = v
+        parts.append(RatMatrix(built.total.size, built.total.size, ent))
+    return parts
+
+
+def _is_boundary_by_rank(built, w):
+    """w lies in the image of d: the degree block's rank does not grow
+    when w joins its columns (Markowitz elimination, not linalg's)."""
+    if not w:
+        return True
+    degrees = built.total.degrees
+    (t,) = {degrees[p] for p in w}
+    cols = [c for c, deg in enumerate(degrees) if deg == (t + 1) % 8]
+    d = built.total.differential
+    block = {(r, k): v for k, c in enumerate(cols) for r, v in d.column(c).items()}
+    grown = dict(block)
+    grown.update(((r, len(cols)), v) for r, v in w.items())
+    return markowitz_rank(block) == markowitz_rank(grown)
+
+
+def test_kernel_symmetry_matches_rank_oracle():
+    """On unreduced unions the placements of u can disagree in homology;
+    single cycles and whole lists must get the oracle's answer."""
+    from floer_workbench.homology import cycle_basis
+    rng = random.Random(5)
+    answers, list_answers = [], set()
+    for _ in range(200):
+        built = disjoint_union_complex(random_admissible(rng, max_gens=5),
+                                       random_admissible(rng, max_gens=5))
+        u_left = RatMatrix(built.total.size, built.total.size,
+                           _u_on_left_by_name(built))
+        right1, right4 = _u_on_right_by_name(built)
+        shifted = {p for p, name in enumerate(built.total.names)
+                   if name.startswith("shift.")}
+        cycles = [z for r in range(8) for z in cycle_basis(built.total, r)]
+        want = []
+        for z in cycles:
+            w_left = u_left.apply(z)
+            w_right = vec_add(right1.apply(z), right4.apply(z))
+            # the mixed placement: I (x) u' on S1, u (x) I on S4
+            w_mixed = vec_add(right1.apply(z),
+                              {p: v for p, v in w_left.items() if p in shifted})
+            want.append(_is_boundary_by_rank(built, vec_sub(w_left, w_mixed))
+                        and _is_boundary_by_rank(built, vec_sub(w_mixed, w_right)))
+        assert [kernel_symmetry_check(built, [z]) for z in cycles] == want
+        assert kernel_symmetry_check(built, cycles) == all(want)
+        answers += want
+        list_answers.add(all(want))
+    assert answers.count(False) == 219 and len(answers) == 3106
+    assert list_answers == {True, False}
 
 
 # ---------------------------------------------------------------------------
@@ -501,6 +620,35 @@ def test_sum_bound_refuses_n_below_a_factors_nilpotency_order():
             verify_sum_bound(a, b, n=2, fa=unit_functional(a, fa),
                              fb=unit_functional(b, "z1"))
         assert str(info.value) == "(u^2 - 4)^2 does not vanish on the left factor"
+
+
+def test_sum_bound_library_refuses_negative_n():
+    a, b = ladder(2), ladder(1)
+    with pytest.raises(ValueError) as info:
+        verify_sum_bound(a, b, n=-1, fa=unit_functional(a, "z2"),
+                         fb=unit_functional(b, "z1"))
+    assert str(info.value) == "negative power"
+
+
+def test_sum_bound_orders_each_factor_once(monkeypatch):
+    """With n inferred, each factor's odd N is built and ordered once; a
+    non-nilpotent factor still fails in the inference step."""
+    calls = []
+    order = connect_sum.nilpotency_order
+
+    def counted(m):
+        calls.append(m)
+        return order(m)
+
+    monkeypatch.setattr(connect_sum, "nilpotency_order", counted)
+    a, b = ladder(2), ladder(3)
+    result = verify_sum_bound(a, b, fa=unit_functional(a, "z2"),
+                              fb=unit_functional(b, "z3"))
+    assert result.n == 3
+    assert len(calls) == 2
+    pminus = builtin("Pminus")
+    with pytest.raises(NotNilpotent):
+        verify_sum_bound(pminus, ladder(1), fa=unit_functional(pminus, "rho1"))
 
 
 def test_sum_bound_reduces_inputs_first():

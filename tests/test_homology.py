@@ -190,7 +190,7 @@ def test_class_coordinates_identifies_homologous_cycles():
         cx = data.complex
         space = homology(cx)
         from floer_workbench.homology import _homology_solvers
-        solvers = _homology_solvers(cx, space)
+        solvers = _homology_solvers(space)
         for r in range(8):
             cycles = cycle_basis(cx, r)
             bounds = boundary_basis(cx, r)
@@ -198,8 +198,8 @@ def test_class_coordinates_identifies_homologous_cycles():
                 continue
             z = cycles[0]
             z_moved = vec_add(z, bounds[0])
-            a = class_coordinates(cx, space, solvers, z, r)
-            b = class_coordinates(cx, space, solvers, z_moved, r)
+            a = class_coordinates(solvers, z, r)
+            b = class_coordinates(solvers, z_moved, r)
             assert a == b
             break
 
