@@ -21,9 +21,9 @@ from . import complexes, connect_sum, fixtures, invariants, lattice, polyid
 from .complexes import InvalidDataError, Kind
 from .connect_sum import SignConfig, SignSearchError
 from .fixtures import FixtureError, ParseError, SemanticError
-from .homology import (DegreeMismatch, DescentObstruction, cycle_basis,
-                       euler_characteristic_mod2,
-                       homology as graded_homology, pair, reduce_to_homology)
+from .homology import (DegreeMismatch, DescentObstruction, _rank_counts,
+                       cycle_basis, euler_characteristic_mod2, pair,
+                       reduce_to_homology)
 from .lattice import LatticeError
 from .linalg import format_rational
 
@@ -32,9 +32,10 @@ from .linalg import format_rational
 COMMAND_TABLE = {
     "validate": ("complexes.validate", "complexes.require_valid",
                  "complexes.u_chain_residual", "fixtures.parse"),
-    "homology": ("homology.homology", "homology.cycle_basis",
-                 "homology.boundary_basis", "homology.euler_characteristic_mod2"),
-    "reduce": ("homology.reduce_to_homology", "homology.class_coordinates"),
+    "homology": ("homology.cycle_basis", "homology.boundary_basis",
+                 "homology.euler_characteristic_mod2"),
+    "reduce": ("homology.reduce_to_homology", "homology.homology",
+               "homology.class_coordinates"),
     "dualize": ("complexes.dualize", "complexes.structurally_equal"),
     "connect-sum": ("connect_sum.connected_sum_complex", "connect_sum.sign_search"),
     "disjoint-union": ("connect_sum.disjoint_union_complex",
@@ -94,6 +95,12 @@ def _dims(dims: dict):
     if not items:
         return None
     return ["%d:%d" % (r, d) for r, d in items]
+
+
+def _homology_dims(cx) -> dict:
+    """Homology dimensions by residue from ranks alone; no basis is built."""
+    cycles, boundaries = _rank_counts(cx)
+    return {r: cycles[r] - boundaries[r] for r in cycles}
 
 
 class Report:
@@ -200,18 +207,17 @@ def cmd_validate(args) -> int:
 def cmd_homology(args) -> int:
     data, source = _load_input(args)
     complexes.require_valid(data)
-    space = graded_homology(data.complex)
+    cycles, boundaries = _rank_counts(data.complex)
+    dims = {r: cycles[r] - boundaries[r] for r in cycles}
     rep = Report("homology")
     rep.add("source", source)
-    rep.add("dims", _dims(space.dims))
-    rep.add("total-dim", space.total_dim)
+    rep.add("dims", _dims(dims))
+    rep.add("total-dim", sum(dims.values()))
     for r in range(8):
-        cyc = len(space.cycles[r])
-        bnd = len(space.boundaries[r])
-        if cyc or bnd:
-            rep.add("degree %d" % r,
-                    "cycles %d boundaries %d homology %d" % (cyc, bnd, space.dims[r]))
-    rep.add("euler-by-parity", euler_characteristic_mod2(space.dims))
+        if cycles[r] or boundaries[r]:
+            rep.add("degree %d" % r, "cycles %d boundaries %d homology %d"
+                    % (cycles[r], boundaries[r], dims[r]))
+    rep.add("euler-by-parity", euler_characteristic_mod2(dims))
     rep.emit(args.json)
     return 0
 
@@ -255,15 +261,15 @@ def cmd_connect_sum(args) -> int:
     rep.add("generators", built.total.size)
     rep.add("signs", ["%+d" % s for s in built.signs.as_tuple()])
     if args.homology:
-        rep.add("homology-dims", _dims(graded_homology(built.total).dims))
+        rep.add("homology-dims", _dims(_homology_dims(built.total)))
     if args.search:
-        accepted = connect_sum.sign_search(a, b)
-        rep.add("accepted-configs", len(accepted))
-        dims_seen = set()
-        for i, cfg in enumerate(accepted):
-            rep.add("config %d" % i, ["%+d" % s for s in cfg.as_tuple()])
-            built_i = connect_sum.connected_sum_complex(a, b, signs=cfg)
-            dims_seen.add(tuple(sorted(graded_homology(built_i.total).dims.items())))
+        configs, dims_seen = [], set()
+        for cfg, total in connect_sum._search_totals(a, b):
+            configs.append(["%+d" % s for s in cfg.as_tuple()])
+            dims_seen.add(tuple(sorted(_homology_dims(total).items())))
+        rep.add("accepted-configs", len(configs))
+        for i, signs in enumerate(configs):
+            rep.add("config %d" % i, signs)
         rep.add("dims-invariant-across-configs", len(dims_seen) == 1)
     rep.emit(args.json)
     return 0
@@ -281,7 +287,7 @@ def cmd_disjoint_union(args) -> int:
     d = built.total.differential
     rep.add("extended-u-commutes", (d @ ue - ue @ d).is_zero())
     if args.homology:
-        rep.add("homology-dims", _dims(graded_homology(built.total).dims))
+        rep.add("homology-dims", _dims(_homology_dims(built.total)))
     # u-placement symmetry holds on classes of the homology-level complex,
     # so sample cycles with the factors reduced first
     ra = reduce_to_homology(a)
@@ -661,10 +667,17 @@ _HANDLERS = {
 }
 
 
+# built by main's first call, not at import, and reused by later calls in
+# the process: parse_args keeps no state in the parser between calls
+_PARSER = None
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    global _PARSER
+    if _PARSER is None:
+        _PARSER = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     handler = _HANDLERS[args.command]

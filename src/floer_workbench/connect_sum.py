@@ -252,7 +252,12 @@ def sign_search(a: FloerData, b: FloerData) -> list:
     Iteration order is lexicographic with +1 before -1, so the first element
     is the canonical accepted configuration for the given inputs.
     """
-    terms = _assembly(a, b, Fraction(2)).square_terms()
+    return _accepted(_assembly(a, b, Fraction(2)).square_terms())
+
+
+def _accepted(terms: dict) -> list:
+    """The configurations, in sign_search's order, under which the signed
+    sum of the square terms vanishes."""
     accepted = []
     for bits in itertools.product((1, -1), repeat=5):
         signs = SignConfig(*bits)
@@ -266,6 +271,21 @@ def sign_search(a: FloerData, b: FloerData) -> list:
         raise SignSearchError("no sign configuration squares to zero; "
                               "the inputs are structurally inconsistent")
     return accepted
+
+
+def _search_totals(a: FloerData, b: FloerData):
+    """Yields (config, total complex) for each configuration sign_search
+    accepts, in its order, all from one assembly.
+
+    Nothing is validated, rebuilt or squared per configuration: the square
+    terms already certify each accepted one, and every configuration has
+    the same support, so connected_sum_complex's degree check on any one of
+    them covers them all.
+    """
+    asm = _assembly(a, b, Fraction(2))
+    names, degrees = tuple(asm.names), tuple(asm.degrees)
+    for signs in _accepted(asm.square_terms()):
+        yield signs, GradedComplex(names, degrees, asm.differential(signs))
 
 
 def disjoint_union_complex(a: FloerData, b: FloerData) -> ConnectSumComplex:
@@ -321,13 +341,16 @@ def kernel_symmetry_check(cs: ConnectSumComplex, cycles: list) -> bool:
 
     The placements are u (x) I on both tensor summands, the mixed one
     (I (x) u' on S1, u (x) I on S4) and I (x) u' on both.  Consecutive
-    placements differ on one summand only, by the u difference
-    u (x) I - I (x) u' of that part of the cycle; the check is that every
-    such difference, for every cycle given, is a boundary.  One solver
-    serves all of them: it holds the columns of d one degree above any
-    difference, and since the image of d is graded, columns of other
-    degrees could not make a difference a boundary.  Raises ValueError,
-    before any elimination, when some input is not a cycle.
+    placements differ on one summand only, by X = u (x) I - I (x) u'
+    applied to that part (z1, z4) of the cycle.  One difference decides
+    both: d z = 0 gives d z4 = X z1, so z4 placed on S1 has boundary
+    X z1 on S1 plus X z4 on S4, and the S4 difference is a boundary exactly
+    when the S1 difference is.  The check is that the S1 difference of
+    every cycle given is a boundary.  One solver serves all of them: it
+    holds the columns of d one degree above any difference, and since the
+    image of d is graded, columns of other degrees could not make a
+    difference a boundary.  Raises ValueError, before any elimination, when
+    some input is not a cycle.
     """
     if cs.shape != (1, 4):
         raise ValueError("kernel symmetry concerns two-summand complexes")
@@ -339,10 +362,8 @@ def kernel_symmetry_check(cs: ConnectSumComplex, cycles: list) -> bool:
     differences = []
     for z in cycles:
         z1 = {divmod(p, nb): v for p, v in z.items() if p < o4}
-        z4 = {divmod(p - o4, nb): v for p, v in z.items() if p >= o4}
-        for offset, part in ((0, z1), (o4, z4)):
-            w = _u_difference(cs.left, cs.right, part)
-            differences.append({offset + i * nb + j: v for (i, j), v in w.items()})
+        w = _u_difference(cs.left, cs.right, z1)
+        differences.append({i * nb + j: v for (i, j), v in w.items()})
 
     degrees = cs.total.degrees
     targets = {degrees[p] for w in differences for p in w}

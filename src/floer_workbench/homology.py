@@ -4,7 +4,13 @@ One pass per complex restricts the differential to the columns of each
 nonempty degree block once; that block's canonical kernel basis is the
 cycles in its degree and its canonical image basis the boundaries one degree
 down.  homology() keeps both on the space it returns, so reduce_to_homology
-and the CLI report read them instead of eliminating the blocks again.
+reads them instead of eliminating the blocks again.
+
+Reports that print only dimensions need no basis: with n_r generators in
+degree r, dim H_r = n_r - rank d_r - rank d_(r+1), and _rank_counts takes
+one forward-only rank per block (linalg.rank) for the cycle and boundary
+counts.  homology() stays the path for representatives and the oracle for
+those counts.
 
 Representatives are picked degree by degree: seed an exact solver with the
 boundary basis, then sweep the cycle basis and keep each cycle's reduced
@@ -20,7 +26,7 @@ from typing import Optional
 
 from .complexes import DEGREE_MOD, FloerData, GradedComplex, require_valid
 from .linalg import (LinearSolver, RatMatrix, Vector, dot, image_basis,
-                     kernel_basis, outer)
+                     kernel_basis, outer, rank)
 
 
 class DescentObstruction(ValueError):
@@ -75,18 +81,39 @@ def boundary_basis(cx: GradedComplex, residue: int) -> list:
     return image_basis(cx.differential.restrict_columns(cols))
 
 
+def _degree_blocks(cx: GradedComplex) -> dict:
+    """residue -> generator indices in that degree, for the nonempty degrees."""
+    blocks = {}
+    for i, r in enumerate(cx.degrees):
+        blocks.setdefault(r, []).append(i)
+    return blocks
+
+
+def _rank_counts(cx: GradedComplex) -> tuple:
+    """(cycle counts, boundary counts) by residue, from one rank per block.
+
+    The block in degree r has rank d_r, so dim Z_r = n_r - rank d_r and
+    dim B_(r-1) = rank d_r; dim H_r is their difference.  cx must be a
+    complex, as for homology().
+    """
+    cycles = dict.fromkeys(range(DEGREE_MOD), 0)
+    boundaries = dict.fromkeys(range(DEGREE_MOD), 0)
+    for r, cols in _degree_blocks(cx).items():
+        k = rank(cx.differential.restrict_columns(cols))
+        cycles[r] = len(cols) - k
+        boundaries[(r - 1) % DEGREE_MOD] = k
+    return cycles, boundaries
+
+
 def _block_bases(cx: GradedComplex) -> tuple:
     """(cycles, boundaries) by residue, restricting each nonempty block once.
 
     The block in degree r yields the degree-r cycles and, since d lowers
     degree by one, the boundaries in degree r - 1.
     """
-    blocks = {}
-    for i, r in enumerate(cx.degrees):
-        blocks.setdefault(r, []).append(i)
     cycles = {r: [] for r in range(DEGREE_MOD)}
     boundaries = {r: [] for r in range(DEGREE_MOD)}
-    for r, cols in sorted(blocks.items()):
+    for r, cols in sorted(_degree_blocks(cx).items()):
         sub = cx.differential.restrict_columns(cols)
         cycles[r] = _lift(cols, kernel_basis(sub))
         boundaries[(r - 1) % DEGREE_MOD] = image_basis(sub)

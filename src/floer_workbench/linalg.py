@@ -13,12 +13,14 @@ division by the gcd of its entries and, when a nonnegative index survives,
 stored under the smallest one and back-substituted into the other rows.
 Each stored row is a multiple of a row of the reduced row echelon form of
 the span, so results do not depend on the row order or on the elimination
-path.  rref_rows, kernel_basis and image_basis read that basis, and rank
-counts its pivots; LinearSolver keeps one incrementally, with each row's
-expression over the added vectors riding along under negative keys.
-Fractions are built only for returned values.  The independent check on
-this eliminator is a Fraction elimination with Markowitz pivoting, kept
-with the tests (tests/markowitz.py).
+path.  rref_rows, kernel_basis and image_basis read that basis;
+LinearSolver keeps one incrementally, with each row's expression over the
+added vectors riding along under negative keys.  rank needs no canonical
+basis: it runs the same integer row updates forward only, in echelon form
+without back-substitution, and counts the rows kept.  Fractions are built
+only for returned values.  The independent check on both is a Fraction
+elimination with Markowitz pivoting, kept with the tests
+(tests/markowitz.py).
 """
 
 from __future__ import annotations
@@ -283,8 +285,22 @@ def outer(v: Vector, f: Vector, rows: int, cols: int) -> RatMatrix:
 
 
 def rank(m: RatMatrix) -> int:
-    """Number of pivots the shared eliminator keeps for the rows of m."""
-    return len(_integer_rref(m._row_view().values()))
+    """Rank of m by forward-only elimination of its rows, with no back-substitution.
+
+    Each kept row is zero at the pivots of the rows kept before it, so one
+    pass over the kept rows in insertion order clears a new row at every
+    pivot: clearing a later pivot never brings back an earlier one.
+    """
+    kept = []  # (pivot, primitive integer row), in insertion order
+    for raw in m._row_view().values():
+        row = _integer_row(raw)[1]
+        for pivot, other in kept:
+            if pivot in row:
+                _eliminate(row, other, pivot)
+        if row:
+            _primitive(row)
+            kept.append((min(row), row))
+    return len(kept)
 
 
 def _primitive(row: dict) -> None:

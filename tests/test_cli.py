@@ -244,6 +244,100 @@ def test_disjoint_union_with_acyclic_factor_checks_nothing(tmp_path, capsys):
     assert "kernel-symmetry-all-true: true\n" in out
 
 
+def _count_homology_calls(monkeypatch):
+    """Sizes of the complexes homology() is called on, through any caller."""
+    module = importlib.import_module("floer_workbench.homology")
+    sizes = []
+    original = module.homology
+
+    def counting(cx):
+        sizes.append(cx.size)
+        return original(cx)
+
+    monkeypatch.setattr(module, "homology", counting)
+    return sizes
+
+
+@pytest.mark.parametrize("argv", [
+    ["homology", "--fixture", "nPplusModel:3"],
+    ["connect-sum", "--a", "Pplus", "--b", "TrefoilLikeSynthetic", "--homology"],
+    ["connect-sum", "--a", "Pplus", "--b", "TrefoilLikeSynthetic", "--search"],
+])
+def test_dimension_reports_run_no_homology_bases(capsys, monkeypatch, argv):
+    sizes = _count_homology_calls(monkeypatch)
+    assert run(capsys, *argv)[0] == 0
+    assert sizes == []
+
+
+def test_disjoint_union_homology_dims_add_no_homology_call(capsys, monkeypatch):
+    # the kernel-symmetry samples reduce both factors, and with them
+    # homology() runs on each factor; --homology adds nothing on the union
+    sizes = _count_homology_calls(monkeypatch)
+    argv = ["disjoint-union", "--a", "NilpotentLadder:2", "--b", "NilpotentLadder:3"]
+    assert run(capsys, *argv)[0] == 0
+    without = list(sizes)
+    del sizes[:]
+    code, out, _ = run(capsys, *(argv + ["--homology"]))
+    assert code == 0
+    assert "homology-dims: " in out
+    assert sizes == without == [4, 6]
+
+
+def test_connect_sum_search_assembles_twice(capsys, monkeypatch):
+    calls, assemblies = [], []
+    build = connect_sum.connected_sum_complex
+    init = connect_sum._Assembly.__init__
+
+    def counting_build(*args, **kwargs):
+        calls.append(kwargs.get("signs"))
+        return build(*args, **kwargs)
+
+    def counting_init(self, *args, **kwargs):
+        assemblies.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(connect_sum, "connected_sum_complex", counting_build)
+    monkeypatch.setattr(connect_sum._Assembly, "__init__", counting_init)
+    code, out, _ = run(capsys, "connect-sum", "--a", "TrefoilLikeSynthetic",
+                       "--b", "TrefoilLikeSynthetic", "--search", "--homology")
+    assert code == 0
+    # an assembly per accepted config would make 34 here
+    assert "accepted-configs: 32\n" in out
+    assert "dims-invariant-across-configs: true\n" in out
+    assert calls == [None]
+    assert len(assemblies) == 2
+
+
+def test_main_builds_the_parser_once(capsys, monkeypatch):
+    built = []
+    original = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return original()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    monkeypatch.setattr(cli, "_PARSER", None)
+    for argv in (["validate", "--fixture", "Pplus"], ["extremal", "--class", "w0"],
+                 ["nonsense"], ["validate", "--fixture", "Pplus"]):
+        run(capsys, *argv)
+    assert built == [1]
+
+
+@pytest.mark.parametrize("argv", [
+    ["nonsense"],
+    ["verify-sum-bound", "--a", "NilpotentLadder:2", "--b", "NilpotentLadder:2",
+     "--n", "0"],
+])
+def test_usage_errors_repeat_identically(capsys, monkeypatch, argv):
+    monkeypatch.setattr(cli, "_PARSER", None)
+    first = run(capsys, *argv)
+    second = run(capsys, *argv)
+    assert first[0] == 2 and first[1] == ""
+    assert "usage: floer-workbench" in first[2]
+    assert second == first
+
+
 def test_extremal_class_minimum_search_is_capped(capsys, monkeypatch):
     # the block's own doubled norm is 128; its class minimum is searched
     # under 16, so the answer comes at once

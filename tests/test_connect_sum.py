@@ -270,6 +270,27 @@ def test_sign_search_matches_full_square_oracle():
         assert sign_search(a, b) == expected
 
 
+def test_search_totals_match_full_construction_and_homology():
+    """Every accepted config of pairs of all four summand shapes: the one
+    assembly gives connected_sum_complex's total complex, and the rank
+    counts agree with homology()'s canonical bases."""
+    from floer_workbench.homology import _rank_counts
+    configs = 0
+    for a, b in seeded_pairs(31, per_shape=2):
+        totals = list(connect_sum._search_totals(a, b))
+        assert [cfg for cfg, _ in totals] == sign_search(a, b)
+        for cfg, total in totals:
+            assert total == connected_sum_complex(a, b, signs=cfg).total
+            cycles, boundaries = _rank_counts(total)
+            space = homology(total)
+            for r in range(8):
+                assert cycles[r] == len(space.cycles[r])
+                assert boundaries[r] == len(space.boundaries[r])
+                assert cycles[r] - boundaries[r] == space.dims[r]
+            configs += 1
+    assert configs >= 200
+
+
 def test_sign_search_builds_no_differential(monkeypatch):
     calls = []
     original = connect_sum._Assembly.differential
@@ -488,6 +509,40 @@ def test_kernel_symmetry_matches_rank_oracle():
         list_answers.add(all(want))
     assert answers.count(False) == 219 and len(answers) == 3106
     assert list_answers == {True, False}
+
+
+def test_kernel_symmetry_tests_one_s1_difference_per_cycle(monkeypatch):
+    """d z4 = X z1 makes the S4 difference a boundary exactly when the S1
+    difference is one, so each cycle costs one query: its S1 difference
+    (u (x) I - I (x) u') z1, placed on S1.  Dropping the S1 difference and
+    keeping the S4 one instead fails here."""
+    from floer_workbench.homology import cycle_basis
+    queried = []
+    original = connect_sum.LinearSolver.contains
+
+    def recording(self, target):
+        queried.append(target)
+        return original(self, target)
+
+    monkeypatch.setattr(connect_sum.LinearSolver, "contains", recording)
+    rng = random.Random(5)
+    checked = nonzero = 0
+    for _ in range(30):
+        built = disjoint_union_complex(random_admissible(rng, max_gens=5),
+                                       random_admissible(rng, max_gens=5))
+        u_left = RatMatrix(built.total.size, built.total.size,
+                           _u_on_left_by_name(built))
+        right1, _ = _u_on_right_by_name(built)
+        o4 = built.offsets[3]
+        for z in (z for r in range(8) for z in cycle_basis(built.total, r)):
+            z1 = {p: v for p, v in z.items() if p < o4}
+            want = vec_sub(u_left.apply(z1), right1.apply(z1))
+            del queried[:]
+            kernel_symmetry_check(built, [z])
+            assert queried == [want]
+            checked += 1
+            nonzero += bool(want)
+    assert checked >= 300 and nonzero >= 50
 
 
 # ---------------------------------------------------------------------------

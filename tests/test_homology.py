@@ -15,6 +15,7 @@ from floer_workbench.fixtures import builtin, random_admissible, random_valid
 from floer_workbench.homology import (
     DegreeMismatch,
     DescentObstruction,
+    _rank_counts,
     boundary_basis,
     class_coordinates,
     cycle_basis,
@@ -258,3 +259,39 @@ def test_reduce_to_homology_adds_no_second_pass(monkeypatch):
         reduce_to_homology(data)
         assert sorted(calls) == _one_pass(data.complex)
         assert len(calls) == 6
+
+
+def _assert_counts_match_bases(cx):
+    """The rank counts against the canonical bases homology() builds."""
+    cycles, boundaries = _rank_counts(cx)
+    space = homology(cx)
+    for r in range(8):
+        assert cycles[r] == len(space.cycles[r])
+        assert boundaries[r] == len(space.boundaries[r])
+        assert cycles[r] - boundaries[r] == space.dims[r]
+
+
+def test_rank_counts_match_homology_bases():
+    rng = random.Random(1313)
+    for _ in range(40):
+        _assert_counts_match_bases(random_valid(rng).complex)
+        _assert_counts_match_bases(random_admissible(rng).complex)
+    for size in range(1, 13):
+        _assert_counts_match_bases(random_graded_complex(rng, size))
+    for spec in ("Pplus", "nPplusModel:4", "NilpotentLadder:3"):
+        _assert_counts_match_bases(builtin(spec).complex)
+
+
+def test_rank_counts_take_one_rank_per_block(monkeypatch):
+    calls = _record_eliminations(monkeypatch)
+    module = importlib.import_module("floer_workbench.homology")
+
+    def counted(m, original=module.rank):
+        calls.append(("rank", m.cols))
+        return original(m)
+    monkeypatch.setattr(module, "rank", counted)
+    model = builtin("nPplusModel:3")
+    cx = connected_sum_complex(model, model).total
+    _rank_counts(cx)
+    assert sorted(calls) == sorted((name, n) for n in cx.dims_by_degree().values()
+                                   for name in ("rank", "restrict_columns"))

@@ -133,6 +133,20 @@ def test_rank_matches_markowitz_oracle():
         assert rank(m) == markowitz_rank(m.entries) <= min(rows, cols)
 
 
+def test_rank_runs_forward_only(monkeypatch):
+    """rank keeps no canonical basis: the back-substituting eliminator
+    behind rref_rows, kernel_basis and LinearSolver never runs."""
+    from floer_workbench import linalg
+
+    def refuse(*args):
+        raise AssertionError("rank went through the RREF eliminator")
+
+    monkeypatch.setattr(linalg, "_insert", refuse)
+    monkeypatch.setattr(linalg, "_reduce", refuse)
+    m = dense([[0, 2, 4, 1], [0, 1, 2, 0], [3, 0, 1, 1], [3, 2, 5, 2]])
+    assert rank(m) == markowitz_rank(m.entries) == 3
+
+
 def test_matmul_and_power():
     m = dense([[0, 1], [4, 0]])
     sq = m @ m
