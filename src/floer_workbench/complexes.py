@@ -54,7 +54,7 @@ class GradedComplex:
         if len(set(self.names)) != n:
             raise ValueError("duplicate generator names")
         for name in self.names:
-            if not name or any(ch.isspace() for ch in name):
+            if name.split() != [name]:
                 raise ValueError("generator names must be nonempty and contain no spaces")
         for d in self.degrees:
             if not isinstance(d, int) or not 0 <= d < DEGREE_MOD:

@@ -48,9 +48,16 @@ offsets on S1 and S4, and kernel_symmetry_check tests that the placements
 of u agree in homology on a list of cycles, against one boundary solver
 for the whole list.
 
-Kernel elements of the u-difference map are built by the telescoping
-identities checked in polyid; the pairing machinery evaluates product
-functionals on them exactly.
+Sum bounds pair product functionals against kernel cycles of the u
+differences over m = 2 or 3 factors.  With N_k = u_k^2 - 4 on factor k, k
+running over 1, ..., m-1 in each product and e over [0, n)^(m-1),
+
+    prod_k (N_0^n - N_k^n) = prod_k (u_0 - u_k)
+        . sum_e N_0^(sum e) prod_k N_k^(n-1-e_k) . prod_k (u_0 + u_k),
+
+which polyid checks for m = 2 and 3, as (u_0 - u_k)(u_0 + u_k) =
+N_0 - N_k.  _kernel_cycle applies the last two factors to a pure tensor;
+when every N_k^n kills its slot, prod_k (u_0 - u_k) kills the result.
 """
 
 from __future__ import annotations
@@ -187,8 +194,10 @@ class _Assembly:
         """D(s): the diagonal block and each cross block times its sign."""
         ent = dict(self.diagonal.entries)
         for name, block in self.cross.items():
-            sign = getattr(signs, name)
-            ent.update((key, sign * v) for key, v in block.entries.items())
+            if getattr(signs, name) == 1:
+                ent.update(block.entries)
+            else:
+                ent.update((key, -v) for key, v in block.entries.items())
         return RatMatrix(self.size, self.size, ent)
 
     def square_terms(self) -> dict:
@@ -329,11 +338,20 @@ def _factor_apply(op: RatMatrix, axis: int, tensor: dict) -> dict:
     return out
 
 
-def _iterate(op: RatMatrix, v: Vector, k: int) -> Vector:
-    """op applied k times to v."""
+def _orbit(op: RatMatrix, v: Vector, k: int) -> list:
+    """[v, op v, ..., op^k v]."""
+    out = [v]
     for _ in range(k):
-        v = op.apply(v)
-    return v
+        out.append(op.apply(out[-1]))
+    return out
+
+
+def _u_differences(factors, t: dict) -> dict:
+    """prod over k >= 1 of (u_0 - u_k), applied to a tensor over the factors."""
+    u0 = factors[0].u
+    for k, data in enumerate(factors[1:], 1):
+        t = vec_sub(_factor_apply(u0, 0, t), _factor_apply(data.u, k, t))
+    return t
 
 
 def kernel_symmetry_check(cs: ConnectSumComplex, cycles: list) -> bool:
@@ -362,7 +380,7 @@ def kernel_symmetry_check(cs: ConnectSumComplex, cycles: list) -> bool:
     differences = []
     for z in cycles:
         z1 = {divmod(p, nb): v for p, v in z.items() if p < o4}
-        w = _u_difference(cs.left, cs.right, z1)
+        w = _u_differences((cs.left, cs.right), z1)
         differences.append({i * nb + j: v for (i, j), v in w.items()})
 
     degrees = cs.total.degrees
@@ -392,8 +410,51 @@ def _odd_n_map(data: FloerData, n_op: RatMatrix) -> RatMatrix:
                       if r in local and c in local})
 
 
-def _u_difference(a: FloerData, b: FloerData, t: dict) -> dict:
-    return vec_sub(_factor_apply(a.u, 0, t), _factor_apply(b.u, 1, t))
+def _kernel_cycle(factors, first: Vector, rest, n: int) -> dict:
+    """The kernel element of the telescoping identity on m = len(factors)
+    slots, started from first (x) rest[0] (x) ...:
+
+        sum over e in [0, n)^(m-1) of N_0^(sum e) (x) N_1^(n-1-e_1) (x) ...
+            applied to prod over k >= 1 of (u_0 + u_k) (first (x) rest...)
+
+    The product of u sums expands into 2^(m-1) pure tensors: slot k >= 1
+    holds w_k or u_k w_k, and slot 0 holds u_0^j first, j counting the
+    slots that kept w_k.  The N-powers of these factor vectors are taken
+    once each (slot 0 up to (m-1)(n-1), slot k up to n-1), and the cycle
+    is the sum of their outer products; no power meets a whole tensor.
+    """
+    m = len(factors)
+    n_ops = [n_map(data.u) for data in factors]
+    heads = [_orbit(n_ops[0], v, (m - 1) * (n - 1))
+             for v in _orbit(factors[0].u, first, m - 1)]
+    tails = [(_orbit(n_op, w, n - 1), _orbit(n_op, data.u.apply(w), n - 1))
+             for data, n_op, w in zip(factors[1:], n_ops[1:], rest)]
+    alpha = {}
+    for picks in itertools.product((0, 1), repeat=m - 1):
+        head = heads[m - 1 - sum(picks)]
+        slots = [tail[p] for tail, p in zip(tails, picks)]
+        for e in itertools.product(range(n), repeat=m - 1):
+            terms = {(i,): v for i, v in head[sum(e)].items()}
+            for powers, ek in zip(slots, e):
+                terms = {key + (j,): c * v for key, c in terms.items()
+                         for j, v in powers[n - 1 - ek].items()}
+            for key, c in terms.items():
+                alpha[key] = alpha.get(key, 0) + c
+    return {key: v for key, v in alpha.items() if v}
+
+
+def _pairing(fs, t: dict) -> Fraction:
+    """2^-(m-1) sum over t of coeff * prod_k f_k(key_k), m = len(fs)."""
+    total = Fraction(0)
+    for key, v in t.items():
+        for f, i in zip(fs, key):
+            fi = f.get(i)
+            if not fi:
+                break
+            v *= fi
+        else:
+            total += v
+    return total / 2 ** (len(fs) - 1)
 
 
 def product_functional(a: FloerData, b: FloerData, fa: Vector, fb: Vector,
@@ -405,29 +466,19 @@ def product_functional(a: FloerData, b: FloerData, fa: Vector, fb: Vector,
     """
     _require_reduced(a, "left")
     _require_reduced(b, "right")
-    if _u_difference(a, b, z):
+    if _u_differences((a, b), z):
         raise ValueError("class is not in the kernel of the u difference")
-    total = Fraction(0)
-    for (i, j), v in z.items():
-        ai = fa.get(i)
-        if ai is None:
-            continue
-        bj = fb.get(j)
-        if bj is None:
-            continue
-        total += v * ai * bj
-    return Fraction(1, 2) * total
+    return _pairing((fa, fb), z)
 
 
 def build_pair_cycle(a: FloerData, b: FloerData, wa: Vector, wb: Vector,
                      n: int) -> dict:
-    """Kernel element of the u difference from witnesses wa, wb.
+    """Kernel element of the u difference from witnesses wa, wb:
 
-        alpha = sum_i N^i (u a') (x) N^(n-1-i) wb  +  N^i a' (x) N^(n-1-i) (u wb)
+        alpha = sum_i N^i (u a') (x) N'^(n-1-i) wb  +  N^i a' (x) N'^(n-1-i) (u' wb)
 
-    with N = u^2 - 4 on each side and a' the u-preimage of wa.  Telescoping
-    (checked in polyid) gives (u (x) I - I (x) u') alpha = (N^n (x) I -
-    I (x) N'^n)(a' (x) wb), which vanishes when both N^n kill the factors.
+    with N = u^2 - 4 on each side and a' the u-preimage of wa, so that
+    u a' = wa.  This is _kernel_cycle on two slots started from a' (x) wb.
     """
     _require_reduced(a, "left")
     _require_reduced(b, "right")
@@ -436,33 +487,7 @@ def build_pair_cycle(a: FloerData, b: FloerData, wa: Vector, wb: Vector,
     a_pre = solve_columns(a.u, wa)
     if a_pre is None:
         raise ValueError("witness has no u-preimage; u is not onto it")
-    na_map, nb_map = n_map(a.u), n_map(b.u)
-    ub_wb = b.u.apply(wb)
-    alpha = {}
-    left_ua = dict(wa)      # u a' equals the witness itself
-    left_pre = dict(a_pre)
-    for i in range(n):
-        right_b = _iterate(nb_map, wb, n - 1 - i)
-        right_ub = _iterate(nb_map, ub_wb, n - 1 - i)
-        for ai, av in left_ua.items():
-            for bj, bv in right_b.items():
-                key = (ai, bj)
-                s = alpha.get(key, 0) + av * bv
-                if s:
-                    alpha[key] = s
-                else:
-                    alpha.pop(key, None)
-        for ai, av in left_pre.items():
-            for bj, bv in right_ub.items():
-                key = (ai, bj)
-                s = alpha.get(key, 0) + av * bv
-                if s:
-                    alpha[key] = s
-                else:
-                    alpha.pop(key, None)
-        left_ua = na_map.apply(left_ua)
-        left_pre = na_map.apply(left_pre)
-    return alpha
+    return _kernel_cycle((a, b), a_pre, (wb,), n)
 
 
 def build_triple_cycle(a: FloerData, b: FloerData, c: FloerData,
@@ -472,46 +497,20 @@ def build_triple_cycle(a: FloerData, b: FloerData, c: FloerData,
         alpha' = sum_{i,j} N^(i+j) (x) N'^(n-1-i) (x) N''^(n-1-j)
                      (u1 + u2)(u1 + u3) (wa (x) wb (x) wc)
 
-    annihilated by (u1 - u2)(u1 - u3) thanks to the product identity in
-    polyid.
+    annihilated by (u1 - u2)(u1 - u3).  This is _kernel_cycle on three
+    slots started from wa (x) wb (x) wc.
     """
     for label, d in (("left", a), ("middle", b), ("right", c)):
         _require_reduced(d, label)
     if n < 1:
         raise ValueError("n must be >= 1")
-    base = {}
-    for ai, av in wa.items():
-        for bj, bv in wb.items():
-            for ck, cv in wc.items():
-                base[(ai, bj, ck)] = av * bv * cv
-    # (u1 + u2)(u1 + u3) applied once
-    t = vec_add(_factor_apply(a.u, 0, base), _factor_apply(b.u, 1, base))
-    t = vec_add(_factor_apply(a.u, 0, t), _factor_apply(c.u, 2, t))
-    na_map, nb_map, nc_map = n_map(a.u), n_map(b.u), n_map(c.u)
-
-    # cache N-powers applied per axis: power p applied to t is expensive,
-    # so accumulate axis by axis over the (i, j) grid
-    alpha = {}
-    a_pows = [t]
-    for _ in range(2 * (n - 1)):
-        a_pows.append(_factor_apply(na_map, 0, a_pows[-1]))
-    for i in range(n):
-        for j in range(n):
-            term = a_pows[i + j]
-            for _ in range(n - 1 - i):
-                term = _factor_apply(nb_map, 1, term)
-            for _ in range(n - 1 - j):
-                term = _factor_apply(nc_map, 2, term)
-            alpha = vec_add(alpha, term)
-    return alpha
+    return _kernel_cycle((a, b, c), wa, (wb, wc), n)
 
 
 def triple_cycle_condition(a: FloerData, b: FloerData, c: FloerData,
                            alpha: dict) -> bool:
     """(u1 - u2)(u1 - u3) alpha == 0."""
-    w = vec_sub(_factor_apply(a.u, 0, alpha), _factor_apply(b.u, 1, alpha))
-    w = vec_sub(_factor_apply(a.u, 0, w), _factor_apply(c.u, 2, w))
-    return not w
+    return not _u_differences((a, b, c), alpha)
 
 
 def _functional_order(f: Vector, n_op: RatMatrix, limit: int) -> int:
@@ -606,25 +605,24 @@ def verify_sum_bound(a: FloerData, b: FloerData, c: Optional[FloerData] = None,
                      n: Optional[int] = None,
                      fa: Optional[Vector] = None, fb: Optional[Vector] = None,
                      fc: Optional[Vector] = None) -> SumBoundReport:
-    """Build the kernel cycle for two or three factors and evaluate the
+    """Build the kernel cycle for m = 2 or 3 factors and evaluate the
     product functional at the shifted level.
 
-    For factors with functional filtration orders (k, k', k'') and a common
+    For functional filtration orders k_0, ..., k_(m-1) and a common
     nilpotency exponent n of (u^2 - 4), the level is
-
-        pair:   l = k + k' - n - 1
-        triple: l = k + k' + k'' - 2n - 1
-
-    The report carries the pairing of (u^2 - 4)^l (last slot) against the
-    cycle, the witness evaluations, and the check that the pairing equals
-    1/2 (pair) or 1/4 (triple) times their product.  Negative level means
-    the hypothesis fails and no bound is claimed: ValueError.
+    l = k_0 + ... + k_(m-1) - (m-1) n - 1.  The report carries the pairing
+    of (u^2 - 4)^l (last slot) against the cycle, the witness evaluations
+    f_k(N^(k_k - 1) w_k), the first witness times u^(2(m-2)) as the
+    surviving term carries that on slot 0, and the check that the pairing
+    is 2^-(m-1) times their product.  Negative level means the hypothesis
+    fails and no bound is claimed: ValueError.
     """
     factors = [(a, fa, "left"), (b, fb, "middle" if c is not None else "right")]
     if c is not None:
         factors.append((c, fc, "right"))
+    m = len(factors)
 
-    nilpotency = [None] * len(factors)
+    nilpotency = [None] * m
     if n is None:
         for i, (data, _, label) in enumerate(factors):
             _require_reduced(data, label)
@@ -634,60 +632,30 @@ def verify_sum_bound(a: FloerData, b: FloerData, c: Optional[FloerData] = None,
     prepared = [_prepare_factor(data, f, n, label, known)
                 for (data, f, label), known in zip(factors, nilpotency)]
     orders = tuple(k for _, _, k in prepared)
-
-    if c is None:
-        level = orders[0] + orders[1] - n - 1
-        mode = "pair"
-    else:
-        level = sum(orders) - 2 * n - 1
-        mode = "triple"
-
+    level = sum(orders) - (m - 1) * n - 1
     if level < 0:
         raise ValueError(
             "filtration orders %s with n = %d leave level %d < 0; "
             "the sum bound hypothesis fails and no bound is claimed"
             % (orders, n, level))
 
-    witnesses = []
-    for (data, _, _), (f, _, k) in zip(factors, prepared):
-        witnesses.append(_find_witness(data, f, k))
+    datas = [data for data, _, _ in factors]
+    witnesses = [_find_witness(data, f, k)
+                 for data, (f, _, k) in zip(datas, prepared)]
+    # the builders differ only in the first slot: a u-preimage or wa itself
+    build, mode = ((build_pair_cycle, "pair") if m == 2
+                   else (build_triple_cycle, "triple"))
+    alpha = build(*datas, *witnesses, n)
+    cycle_ok = not _u_differences(datas, alpha)
+    shifted = alpha
+    for _ in range(level):
+        shifted = _factor_apply(prepared[-1][1], m - 1, shifted)
+    pairing = _pairing([f for f, _, _ in prepared], shifted)
 
-    if c is None:
-        (f_a, na_map, ka), (f_b, nb_map, kb) = prepared
-        alpha = build_pair_cycle(a, b, witnesses[0], witnesses[1], n)
-        cycle_ok = not _u_difference(a, b, alpha)
-        shifted = alpha
-        for _ in range(level):
-            shifted = _factor_apply(nb_map, 1, shifted)
-        pairing = product_functional(a, b, f_a, f_b, shifted)
-        ev_a = dot(f_a, _iterate(na_map, witnesses[0], ka - 1))
-        ev_b = dot(f_b, _iterate(nb_map, witnesses[1], kb - 1))
-        witness_values = (ev_a, ev_b)
-        expected = Fraction(1, 2) * ev_a * ev_b
-    else:
-        (f_a, na_map, ka), (f_b, nb_map, kb), (f_c, nc_map, kc) = prepared
-        alpha = build_triple_cycle(a, b, c, witnesses[0], witnesses[1],
-                                   witnesses[2], n)
-        cycle_ok = triple_cycle_condition(a, b, c, alpha)
-        shifted = alpha
-        for _ in range(level):
-            shifted = _factor_apply(nc_map, 2, shifted)
-        total = Fraction(0)
-        for (i, j, k2), v in shifted.items():
-            ai = f_a.get(i)
-            bj = f_b.get(j)
-            ck = f_c.get(k2)
-            if ai and bj and ck:
-                total += v * ai * bj * ck
-        pairing = Fraction(1, 4) * total
-        # the surviving term carries u^2 on the first slot
-        u2a = a.u @ a.u
-        ev_a = dot(f_a, u2a.apply(_iterate(na_map, witnesses[0], ka - 1)))
-        ev_b = dot(f_b, _iterate(nb_map, witnesses[1], kb - 1))
-        ev_c = dot(f_c, _iterate(nc_map, witnesses[2], kc - 1))
-        witness_values = (ev_a, ev_b, ev_c)
-        expected = Fraction(1, 4) * ev_a * ev_b * ev_c
-
+    witnesses[0] = _orbit(a.u, witnesses[0], 2 * (m - 2))[-1]
+    witness_values = tuple(dot(f, _orbit(n_op, w, k - 1)[-1])
+                           for (f, n_op, k), w in zip(prepared, witnesses))
+    expected = Fraction(math.prod(witness_values), 2 ** (m - 1))
     return SumBoundReport(mode=mode, n=n, orders=orders, level=level,
                           cycle_ok=cycle_ok, pairing=pairing,
                           witness_values=witness_values, expected=expected,

@@ -36,7 +36,6 @@ import math
 import warnings
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from .linalg import rational
 
@@ -69,9 +68,6 @@ class LatticeVector:
 
     def block(self, b: int) -> tuple:
         return self.doubled[BLOCK * b:BLOCK * (b + 1)]
-
-    def sort_key(self) -> tuple:
-        return self.doubled
 
 
 def from_coords(coords) -> LatticeVector:
@@ -108,8 +104,8 @@ HALF_SUM = from_coords((Fraction(1, 2),) * 8)
 _NAMED = {"zero": None, "w0": W0, "root": ROOT, "halfsum": HALF_SUM}
 
 
-def parse_vector(spec: str, blocks: Optional[int] = None) -> LatticeVector:
-    """Read 'w0', 'w0^3', 'zero' (needs blocks), or comma-separated coords."""
+def parse_vector(spec: str) -> LatticeVector:
+    """Read 'w0', 'w0^3', 'zero', 'zero^3', or comma-separated coords."""
     spec = spec.strip()
     if "," in spec:
         return from_coords(part.strip() for part in spec.split(","))
@@ -123,7 +119,7 @@ def parse_vector(spec: str, blocks: Optional[int] = None) -> LatticeVector:
         if reps < 1:
             raise LatticeError("power must be >= 1")
     if name == "zero":
-        return zero(reps if power else (blocks or 1))
+        return zero(reps)
     base = _NAMED[name]
     return concat(*([base] * reps))
 

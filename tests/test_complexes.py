@@ -37,6 +37,16 @@ def test_p_fixtures_validate():
         assert report.ok, str(report)
 
 
+def test_generator_names_are_nonempty_and_unbroken():
+    for bad in ("", " a", "a b", "a\tb", "a\u00a0b", "a\x1cb"):
+        with pytest.raises(ValueError) as info:
+            GradedComplex((bad,), (1,), RatMatrix.zero(1, 1))
+        assert str(info.value) == \
+            "generator names must be nonempty and contain no spaces"
+    for good in ("x0_1", "shift.a.b"):
+        assert GradedComplex((good,), (1,), RatMatrix.zero(1, 1)).names == (good,)
+
+
 def test_u_chain_residual_zero_on_fixtures():
     for name in ("Pplus", "Pminus", "TrefoilLikeSynthetic"):
         assert u_chain_residual(builtin(name)).is_zero()

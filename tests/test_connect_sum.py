@@ -20,7 +20,12 @@ from floer_workbench.connect_sum import (
     triple_cycle_condition,
     verify_sum_bound,
 )
-from floer_workbench.fixtures import builtin, random_admissible, random_homology_sphere
+from floer_workbench.fixtures import (
+    builtin,
+    random_admissible,
+    random_homology_sphere,
+    random_nilpotent_phi,
+)
 from floer_workbench.homology import homology, reduce_to_homology
 from floer_workbench.invariants import NotNilpotent
 from floer_workbench.linalg import (
@@ -31,6 +36,7 @@ from floer_workbench.linalg import (
     vec_sub,
     vector,
 )
+from cycle_reference import reference_pair_cycle, reference_triple_cycle
 from markowitz import markowitz_rank
 
 
@@ -593,6 +599,55 @@ def test_triple_cycle_condition_exact():
         alpha = build_triple_cycle(a, b, c, wa, wb, wc, n)
         assert alpha
         assert triple_cycle_condition(a, b, c, alpha)
+
+
+def _random_vector(rng, data, degree):
+    v = {i: Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+         for i in data.complex.indices_in_degree(degree)}
+    return {i: q for i, q in v.items() if q} or {i: Fraction(1) for i in v}
+
+
+
+
+def _oracle_factors(rng):
+    """Seeded ladders (orders <= 6), random_nilpotent_phi data with
+    rational u, and TrefoilLikeSynthetic, in a fixed mix."""
+    pool = [ladder(rng.randint(1, 6)) for _ in range(4)]
+    pool += [random_nilpotent_phi(rng, rng.randint(1, 4))[0] for _ in range(3)]
+    pool.append(builtin("TrefoilLikeSynthetic"))
+    return pool
+
+
+def test_pair_cycle_matches_reference_builder():
+    rng = random.Random(1401)
+    pool = _oracle_factors(rng)
+    nonzero = 0
+    for a, b in itertools.product(pool, repeat=2):
+        wa = a.u.apply(_random_vector(rng, a, 5))  # has a u-preimage
+        wb = _random_vector(rng, b, 1)
+        for n in (1, rng.randint(2, 6)):
+            alpha = build_pair_cycle(a, b, wa, wb, n)
+            assert alpha == reference_pair_cycle(a, b, wa, wb, n)
+            nonzero += bool(alpha)
+    assert nonzero >= 100
+
+
+def test_triple_cycle_matches_reference_builder():
+    rng = random.Random(1402)
+    pool = _oracle_factors(rng)
+    nonzero = 0
+    for _ in range(24):
+        a, b, c = (rng.choice(pool) for _ in range(3))
+        wa, wb, wc = (_random_vector(rng, d, 1) for d in (a, b, c))
+        for n in (1, rng.randint(2, 6)):
+            alpha = build_triple_cycle(a, b, c, wa, wb, wc, n)
+            assert alpha == reference_triple_cycle(a, b, c, wa, wb, wc, n)
+            nonzero += bool(alpha)
+    t = builtin("TrefoilLikeSynthetic")
+    w = {t.complex.index_of("y1"): Fraction(1)}
+    assert build_triple_cycle(t, t, t, w, w, w, 1) == \
+        reference_triple_cycle(t, t, t, w, w, w, 1)
+    assert nonzero >= 25
 
 
 def test_verify_pair_bound_values():

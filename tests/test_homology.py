@@ -295,3 +295,9 @@ def test_rank_counts_take_one_rank_per_block(monkeypatch):
     _rank_counts(cx)
     assert sorted(calls) == sorted((name, n) for n in cx.dims_by_degree().values()
                                    for name in ("rank", "restrict_columns"))
+
+
+def test_package_attribute_is_the_homology_module():
+    # the package re-exports nothing, so no function shadows the module
+    import floer_workbench.homology as attribute
+    assert attribute is importlib.import_module("floer_workbench.homology")

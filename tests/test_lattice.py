@@ -89,6 +89,7 @@ def test_parse_vector_round_trips():
     assert parse_vector("w0") == W0
     assert parse_vector("root") == ROOT
     assert parse_vector("zero") == zero(1)
+    assert parse_vector("zero^3") == zero(3)
     assert parse_vector("w0^3") == concat(W0, W0, W0)
     coords = "1,1,1,1,0,0,0,0"
     assert parse_vector(coords) == W0
