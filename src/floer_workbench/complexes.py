@@ -212,9 +212,19 @@ def validate(data: FloerData) -> ValidationReport:
 
 
 def require_valid(data: FloerData) -> None:
+    """Raise InvalidDataError unless data passes validate().
+
+    An object that passes is marked and not validated again, since its
+    pieces never change after construction; the mark lives on that object
+    only, so an equal but distinct object is validated afresh, and one that
+    fails raises on every call.
+    """
+    if vars(data).get("_valid"):
+        return
     report = validate(data)
     if not report.ok:
         raise InvalidDataError(report)
+    object.__setattr__(data, "_valid", True)
 
 
 def dualize(data: FloerData) -> FloerData:

@@ -154,29 +154,36 @@ class _Assembly:
                         + list(ad[:n2]) + list(bd[:n3])
                         + [(ad[i] + bd[j] + 3) % DEGREE_MOD for i, j in pairs])
 
-        eps = [-1 if deg % 2 else 1 for deg in ad]  # Koszul sign past the left slot
+        # v, -v and the scaled values are formed once per factor entry;
+        # signed[flip[i]] is v times the Koszul sign past left generator i
+        flip = [deg % 2 for deg in ad]
         diagonal, x12, x13, x14, x24, x34 = {}, {}, {}, {}, {}, {}
         for (r, c), v in a.complex.differential.entries.items():
+            neg = -v
             for j in range(nb):
                 diagonal[r * nb + j, c * nb + j] = v
-                diagonal[o4 + r * nb + j, o4 + c * nb + j] = -v
+                diagonal[o4 + r * nb + j, o4 + c * nb + j] = neg
             if n2:
                 diagonal[o2 + r, o2 + c] = v
         for (r, c), v in b.complex.differential.entries.items():
+            signed = (v, -v)
             for i in range(na):
-                diagonal[i * nb + r, i * nb + c] = eps[i] * v
-                diagonal[o4 + i * nb + r, o4 + i * nb + c] = -eps[i] * v
+                diagonal[i * nb + r, i * nb + c] = signed[flip[i]]
+                diagonal[o4 + i * nb + r, o4 + i * nb + c] = signed[1 - flip[i]]
             if n3:
                 diagonal[o3 + r, o3 + c] = v
         for (r, c), v in a.u.entries.items():
+            scaled = u_scale * v
             for j in range(nb):
-                x14[o4 + r * nb + j, c * nb + j] = u_scale * v
+                x14[o4 + r * nb + j, c * nb + j] = scaled
         for (r, c), v in b.u.entries.items():
+            scaled = -u_scale * v
             for i in range(na):
-                x14[o4 + i * nb + r, i * nb + c] = -u_scale * v
+                x14[o4 + i * nb + r, i * nb + c] = scaled
         for j, v in b.delta.items():
+            signed = (v, -v)
             for i in range(n2):
-                x12[o2 + i, i * nb + j] = eps[i] * v
+                x12[o2 + i, i * nb + j] = signed[flip[i]]
         for i, v in a.delta.items():
             for j in range(n3):
                 x13[o3 + j, i * nb + j] = v
@@ -186,8 +193,9 @@ class _Assembly:
         for r, v in a.delta_prime.items():
             for j in range(n3):
                 x34[o4 + r * nb + j, o3 + j] = v
-        self.diagonal = RatMatrix(self.size, self.size, diagonal)
-        self.cross = {name: RatMatrix(self.size, self.size, ent)
+        # validated factors give nonzero entries at distinct in-range positions
+        self.diagonal = RatMatrix._trusted(self.size, self.size, diagonal)
+        self.cross = {name: RatMatrix._trusted(self.size, self.size, ent)
                       for name, ent in zip(SIGN_NAMES, (x12, x13, x14, x24, x34))}
 
     def differential(self, signs: SignConfig) -> RatMatrix:
@@ -198,7 +206,7 @@ class _Assembly:
                 ent.update(block.entries)
             else:
                 ent.update((key, -v) for key, v in block.entries.items())
-        return RatMatrix(self.size, self.size, ent)
+        return RatMatrix._trusted(self.size, self.size, ent)
 
     def square_terms(self) -> dict:
         """The nonzero T_m of D(s)^2 = sum over m of (prod_{k in m} s_k) T_m.
@@ -320,7 +328,7 @@ def extended_u(cs: ConnectSumComplex) -> RatMatrix:
         for j in range(nb):
             ent[(r * nb + j, c * nb + j)] = v
             ent[(o4 + r * nb + j, o4 + c * nb + j)] = v
-    return RatMatrix(n, n, ent)
+    return RatMatrix._trusted(n, n, ent)
 
 
 def _factor_apply(op: RatMatrix, axis: int, tensor: dict) -> dict:

@@ -98,8 +98,10 @@ def _rank_counts(cx: GradedComplex) -> tuple:
     """
     cycles = dict.fromkeys(range(DEGREE_MOD), 0)
     boundaries = dict.fromkeys(range(DEGREE_MOD), 0)
+    d = cx.differential
+    d._integer_form()  # built once here, carried to every block
     for r, cols in _degree_blocks(cx).items():
-        k = rank(cx.differential.restrict_columns(cols))
+        k = rank(d.restrict_columns(cols))
         cycles[r] = len(cols) - k
         boundaries[(r - 1) % DEGREE_MOD] = k
     return cycles, boundaries

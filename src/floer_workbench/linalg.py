@@ -6,6 +6,16 @@ builds its column-major and row-major views once, on first use, since an
 instance never changes.  All eliminations are exact; nothing in this package
 ever touches a float.
 
+A matrix also builds, once and on first use, an integer form: the lcm den
+of its entries' denominators and the integer rows of den times the matrix,
+in the row view's order.  Products (@) multiply integer forms and build
+one Fraction per output entry; rank eliminates copies of the integer rows;
+restrict_columns hands a cached form on to the block.  The public
+constructor coerces and bounds-checks every entry, but matrices built from
+other matrices' entries (sums, differences, scalings, transposes, products,
+column blocks, the connected-sum blocks) skip both through
+RatMatrix._trusted.
+
 There is one exact eliminator, _insert, and it keeps every entry an
 integer: each incoming row is scaled once to an integer row, reduced at the
 pivots it hits with fraction-free updates row := p*row - c*other followed by
@@ -25,6 +35,7 @@ elimination with Markowitz pivoting, kept with the tests
 
 from __future__ import annotations
 
+import operator
 import re
 from fractions import Fraction
 from math import gcd, lcm
@@ -103,16 +114,16 @@ class RatMatrix:
 
     entries maps (row, col) -> nonzero Fraction.  Construction drops zeros
     and validates index bounds; afterwards instances are treated as frozen,
-    which is what makes the lazily built line views safe to cache.
+    which is what makes the lazily built line views and integer form safe
+    to cache.  Matrices the package builds from other matrices' entries go
+    through _trusted instead, which skips both.
     """
 
-    __slots__ = ("rows", "cols", "entries", "_by_col", "_by_row")
+    __slots__ = ("rows", "cols", "entries", "_by_col", "_by_row", "_int")
 
     def __init__(self, rows: int, cols: int, entries: Optional[Mapping] = None):
         if rows < 0 or cols < 0:
             raise ValueError("negative matrix shape")
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
         clean = {}
         for (r, c), val in (entries or {}).items():
             if not (0 <= r < rows and 0 <= c < cols):
@@ -120,9 +131,24 @@ class RatMatrix:
             q = rational(val)
             if q:
                 clean[(r, c)] = q
-        object.__setattr__(self, "entries", clean)
+        self._fill(rows, cols, clean, None)
+
+    @classmethod
+    def _trusted(cls, rows: int, cols: int, entries: dict,
+                 form: Optional[tuple] = None) -> "RatMatrix":
+        """A matrix on entries already known to be nonzero Fractions inside
+        the shape, taken as they are; form is its integer form, if known."""
+        m = object.__new__(cls)
+        m._fill(rows, cols, entries, form)
+        return m
+
+    def _fill(self, rows: int, cols: int, entries: dict, form: Optional[tuple]) -> None:
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_by_col", None)
         object.__setattr__(self, "_by_row", None)
+        object.__setattr__(self, "_int", form)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatMatrix is immutable")
@@ -165,47 +191,78 @@ class RatMatrix:
     def is_zero(self) -> bool:
         return not self.entries
 
-    def __add__(self, other: "RatMatrix") -> "RatMatrix":
+    def _merge(self, other: "RatMatrix", op) -> "RatMatrix":
+        """Entrywise op(self, other); other's new keys follow self's in order."""
         if (self.rows, self.cols) != (other.rows, other.cols):
-            raise ValueError("shape mismatch in add")
+            raise ValueError("shape mismatch in %s" % op.__name__)
         entries = dict(self.entries)
         for key, val in other.entries.items():
-            s = entries.get(key, 0) + val
+            s = op(entries.get(key, 0), val)
             if s:
                 entries[key] = s
             else:
                 entries.pop(key, None)
-        return RatMatrix(self.rows, self.cols, entries)
+        return RatMatrix._trusted(self.rows, self.cols, entries)
+
+    def __add__(self, other: "RatMatrix") -> "RatMatrix":
+        return self._merge(other, operator.add)
 
     def __neg__(self) -> "RatMatrix":
         return self.scale(-1)
 
     def __sub__(self, other: "RatMatrix") -> "RatMatrix":
-        return self + other.scale(-1)
+        return self._merge(other, operator.sub)
 
     def scale(self, c) -> "RatMatrix":
         c = rational(c)
         if not c:
             return RatMatrix.zero(self.rows, self.cols)
-        return RatMatrix(self.rows, self.cols, {k: c * v for k, v in self.entries.items()})
+        return RatMatrix._trusted(self.rows, self.cols,
+                                  {k: c * v for k, v in self.entries.items()})
 
     def transpose(self) -> "RatMatrix":
-        return RatMatrix(self.cols, self.rows, {(c, r): v for (r, c), v in self.entries.items()})
+        return RatMatrix._trusted(self.cols, self.rows,
+                                  {(c, r): v for (r, c), v in self.entries.items()})
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
+        """The product, summed on integer numerators over the common
+        denominator of both integer forms.  Entries come out in the order a
+        Fraction loop over self's entries and other's rows would insert
+        them: the partial sums are the same up to that positive factor, so
+        the same ones vanish."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matmul")
-        by_row = other._row_view()
+        den_a, rows_a = self._integer_form()
+        den_b, rows_b = other._integer_form()
         acc = {}
-        for (r, k), v in self.entries.items():
-            for c, w in by_row.get(k, {}).items():
+        for r, k in self.entries:
+            line = rows_b.get(k)
+            if line is None:
+                continue
+            v = rows_a[r][k]
+            for c, w in line.items():
                 key = (r, c)
                 s = acc.get(key, 0) + v * w
                 if s:
                     acc[key] = s
                 else:
                     acc.pop(key, None)
-        return RatMatrix(self.rows, other.cols, acc)
+        den = den_a * den_b
+        return RatMatrix._trusted(self.rows, other.cols,
+                                  {key: Fraction(s, den) for key, s in acc.items()})
+
+    def _integer_form(self) -> tuple:
+        """(den, row -> {col: den * value}), rows in the row view's order.
+
+        den is a common denominator of the entries: their lcm, or the one
+        of the matrix a column block was restricted from.  Built once.
+        """
+        if self._int is None:
+            den = lcm(*(v.denominator for v in self.entries.values()))
+            ints = {key: v.numerator * (den // v.denominator)
+                    for key, v in self.entries.items()}
+            object.__setattr__(self, "_int", (den, _group_lines(ints, 0)))
+        return self._int
 
     def _column_view(self) -> dict:
         """col -> {row: value} over the nonzero columns, built once."""
@@ -235,13 +292,21 @@ class RatMatrix:
         return [dict(view.get(c, {})) for c in range(self.cols)]
 
     def restrict_columns(self, cols: list) -> "RatMatrix":
-        """Submatrix on the given columns, renumbered 0, 1, ... in that order."""
+        """Submatrix on the given columns, renumbered 0, 1, ... in that order.
+
+        A cached integer form is carried over, with the same denominator.
+        """
         view = self._column_view()
         entries = {}
         for local, c in enumerate(cols):
             for r, v in view.get(c, {}).items():
                 entries[(r, local)] = v
-        return RatMatrix(self.rows, len(cols), entries)
+        form = None
+        if self._int is not None:
+            den, rows = self._int
+            ints = {(r, local): rows[r][cols[local]] for r, local in entries}
+            form = (den, _group_lines(ints, 0))
+        return RatMatrix._trusted(self.rows, len(cols), entries, form)
 
     def to_dense(self) -> list:
         return [[self.entries.get((r, c), Fraction(0)) for c in range(self.cols)] for r in range(self.rows)]
@@ -285,15 +350,17 @@ def outer(v: Vector, f: Vector, rows: int, cols: int) -> RatMatrix:
 
 
 def rank(m: RatMatrix) -> int:
-    """Rank of m by forward-only elimination of its rows, with no back-substitution.
+    """Rank of m by forward-only elimination of its integer rows, with no
+    back-substitution.
 
-    Each kept row is zero at the pivots of the rows kept before it, so one
-    pass over the kept rows in insertion order clears a new row at every
-    pivot: clearing a later pivot never brings back an earlier one.
+    The rows are copies of m's integer form.  Each kept row is zero at the
+    pivots of the rows kept before it, so one pass over the kept rows in
+    insertion order clears a new row at every pivot: clearing a later pivot
+    never brings back an earlier one.
     """
     kept = []  # (pivot, primitive integer row), in insertion order
-    for raw in m._row_view().values():
-        row = _integer_row(raw)[1]
+    for raw in m._integer_form()[1].values():
+        row = dict(raw)
         for pivot, other in kept:
             if pivot in row:
                 _eliminate(row, other, pivot)

@@ -229,6 +229,23 @@ def test_disjoint_union_checks_samples_against_one_solver(capsys, monkeypatch):
     assert len(built) == 1
 
 
+def test_disjoint_union_validates_each_factor_once(capsys, monkeypatch):
+    # the union and the reduction both require the loaded factors valid;
+    # the reduced factors are new objects and are validated once each too
+    from floer_workbench import complexes
+
+    seen, loaded = [], []
+    validate, load = complexes.validate, cli._load_factor
+    monkeypatch.setattr(complexes, "validate", lambda data: seen.append(data) or validate(data))
+    monkeypatch.setattr(cli, "_load_factor",
+                        lambda *args: loaded.append(load(*args)) or loaded[-1])
+    code, _, _ = run(capsys, "disjoint-union", "--a", "NilpotentLadder:2",
+                     "--b", "NilpotentLadder:3", "--homology")
+    assert code == 0
+    assert [data for data in seen if any(data is f for f, _ in loaded)] == [f for f, _ in loaded]
+    assert len(seen) == len({id(data) for data in seen}) == 4
+
+
 def test_disjoint_union_with_acyclic_factor_checks_nothing(tmp_path, capsys):
     # d p = q leaves no homology, so the reduced union has no generators
     doc = tmp_path / "acyclic.txt"

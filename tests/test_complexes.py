@@ -117,6 +117,26 @@ def test_require_valid_raises_with_report():
     assert exc.value.report.violations
 
 
+def test_require_valid_validates_each_object_once(monkeypatch):
+    from floer_workbench import complexes
+
+    seen = []
+    original = complexes.validate
+    monkeypatch.setattr(complexes, "validate", lambda data: seen.append(data) or original(data))
+    good, twin = builtin("NilpotentLadder:2"), builtin("NilpotentLadder:2")
+    assert good == twin and good is not twin
+    require_valid(good)
+    require_valid(good)
+    assert seen == [good]
+    require_valid(twin)  # equal, but another object: validated afresh
+    assert len(seen) == 2 and seen[1] is twin
+    bad = two_gen(0, 1, diff_entries={(1, 0): Fraction(1)})
+    for _ in range(2):  # failure leaves no mark
+        with pytest.raises(InvalidDataError):
+            require_valid(bad)
+    assert len(seen) == 4
+
+
 def test_admissible_commutation():
     rng = random.Random(5150)
     for _ in range(10):

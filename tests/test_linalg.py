@@ -20,6 +20,7 @@ from floer_workbench.linalg import (
     vec_sub,
     vector,
 )
+from fraction_matmul import fraction_matmul
 from markowitz import markowitz_rank
 
 
@@ -151,6 +152,101 @@ def test_matmul_and_power():
     m = dense([[0, 1], [4, 0]])
     sq = m @ m
     assert sq == RatMatrix.identity(2).scale(4)
+
+
+def _random_sparse(rng, rows, cols, density):
+    """Entries over denominators 1, 2, 3, 6 and 7, inserted in shuffled order."""
+    keys = [(i, j) for i in range(rows) for j in range(cols) if rng.random() < density]
+    rng.shuffle(keys)
+    return {key: Fraction(rng.choice([-2, -1, 1, 2]), rng.choice([1, 2, 3, 6, 7]))
+            for key in keys}
+
+
+def _product_cases():
+    """240 seeded products plus empty shapes.  Where k >= 2, the right
+    factor's row 1 is c times its row 0 and the left factor carries
+    -a[r, 0] / c at (r, 1) on some rows, so those products cancel to zero
+    partway through or entirely."""
+    rng = random.Random(1968)
+    cases = [((0, 0), (0, 0)), ((0, 3), (3, 2)), ((3, 0), (0, 4)), ((2, 3), (3, 0))]
+    cases += [((rng.randint(1, 7), k), (k, rng.randint(1, 7)))
+              for k in (rng.randint(1, 7) for _ in range(240))]
+    for (ra, k), (_, cb) in cases:
+        left = _random_sparse(rng, ra, k, rng.random())
+        right = _random_sparse(rng, k, cb, rng.random())
+        if k >= 2:
+            c = Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 2, 7]))
+            right = {key: v for key, v in right.items() if key[0] != 1}
+            right.update({(1, j): c * v for (i, j), v in list(right.items()) if i == 0})
+            for r in range(ra):
+                if (r, 0) in left and rng.random() < 0.7:
+                    left[r, 1] = -left[r, 0] / c
+        yield RatMatrix(ra, k, left), RatMatrix(k, cb, right)
+
+
+def test_matmul_matches_fraction_reference():
+    """The integer product keeps the Fraction loop's entries and their
+    insertion order, including keys popped at zero and inserted again."""
+    vanished = 0
+    for a, b in _product_cases():
+        got = a @ b
+        assert list(got.entries.items()) == list(fraction_matmul(a.entries, b.entries).items())
+        assert all(type(v) is Fraction and v for v in got.entries.values())
+        vanished += len({(r, c) for (r, k) in a.entries for (kk, c) in b.entries
+                         if k == kk}) - len(got.entries)
+    assert vanished > 100  # the cases do exercise cancellation
+
+    # (0, 0) gets 1/2, then -1/2 (popped), then 1/3 after (0, 1) went in
+    a = RatMatrix(1, 3, {(0, 0): Fraction(1, 2), (0, 1): 1, (0, 2): Fraction(1, 3)})
+    b = RatMatrix(3, 2, {(0, 0): 1, (1, 0): Fraction(-1, 2), (1, 1): 1, (2, 0): 1})
+    assert list((a @ b).entries.items()) == [((0, 1), Fraction(1)),
+                                             ((0, 0), Fraction(1, 3))]
+    assert (a @ RatMatrix(3, 2, {(0, 0): 2, (1, 0): -1})).is_zero()
+
+
+def test_rank_of_block_with_cached_integer_form():
+    """restrict_columns carries a cached integer form to the block; rank
+    reads it and agrees with the Fraction/Markowitz oracle."""
+    rng = random.Random(6174)
+    for m, _ in _product_cases():
+        m._integer_form()
+        picked = rng.sample(range(m.cols), rng.randint(0, m.cols))
+        block = m.restrict_columns(picked)
+        den, rows = block._int
+        assert [(r, c) for r, line in rows.items() for c in line] == \
+            [(r, c) for r, line in block._row_view().items() for c in line]
+        assert all(Fraction(n, den) == block.entries[r, c]
+                   for r, line in rows.items() for c, n in line.items())
+        assert rank(block) == markowitz_rank(block.entries)
+        assert rank(m) == markowitz_rank(m.entries)
+
+
+def test_internal_matrices_skip_coercion(monkeypatch):
+    """Matrices built from other matrices' entries never call rational()."""
+    from floer_workbench import connect_sum, fixtures, linalg
+
+    a, b = fixtures.builtin("nPplusModel:2"), fixtures.builtin("Pplus")
+    m = dense([[1, "1/2", 0], [0, 3, "-2/7"], [5, 0, 1]])
+    calls = []
+    original = linalg.rational
+    monkeypatch.setattr(linalg, "rational", lambda v: calls.append(v) or original(v))
+    m @ m
+    m - m.transpose()
+    m.restrict_columns([2, 0])
+    asm = connect_sum._Assembly(a, b, theta_right=True, theta_left=True,
+                                u_scale=Fraction(2))
+    asm.differential(connect_sum.DEFAULT_SIGNS)
+    assert calls == []
+
+
+def test_public_constructor_checks_entries():
+    with pytest.raises(TypeError):
+        RatMatrix(2, 2, {(0, 0): 0.5})
+    with pytest.raises(IndexError):
+        RatMatrix(2, 2, {(2, 0): 1})
+    with pytest.raises(ValueError):
+        RatMatrix(-1, 2)
+    assert RatMatrix(1, 2, {(0, 0): 0, (0, 1): "3/6"}).entries == {(0, 1): Fraction(1, 2)}
 
 
 def test_solve_and_invert():
