@@ -394,12 +394,33 @@ def cmd_eta(args) -> int:
     rep.add("vectors", int(result.count))
     rep.add("count", result.count)
     rep.add("all-in-class", result.all_in_class)
-    for i, v in enumerate(result.vectors):
-        # doubled coordinates: c/2 is an integer when c is even
-        rep.add("vector %d" % i, [str(c // 2) if c % 2 == 0 else "%d/2" % c
-                                  for c in v.doubled])
+    for i, coords in enumerate(_vector_coords(result.vectors, args.json)):
+        rep.add("vector %d" % i, coords)
     rep.emit(args.json)
     return 0
+
+
+def _vector_coords(vectors, as_json: bool) -> list:
+    """Each vector's coordinates as the report prints them.
+
+    Listed vectors repeat a few block members many times, so each distinct
+    member is formatted once and a vector is built from its blocks' texts:
+    one string for the text report, the per-coordinate list for --json.
+    """
+    texts = {}
+    out = []
+    for v in vectors:
+        parts = []
+        for start in range(0, len(v.doubled), lattice.BLOCK):
+            block = v.doubled[start:start + lattice.BLOCK]
+            text = texts.get(block)
+            if text is None:
+                # doubled coordinates: c/2 is an integer when c is even
+                coords = [str(c // 2) if c % 2 == 0 else "%d/2" % c for c in block]
+                text = texts[block] = coords if as_json else " ".join(coords)
+            parts.append(text)
+        out.append(sum(parts, []) if as_json else " ".join(parts))
+    return out
 
 
 def cmd_extremal(args) -> int:

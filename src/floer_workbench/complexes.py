@@ -221,10 +221,17 @@ def require_valid(data: FloerData) -> None:
     """
     if vars(data).get("_valid"):
         return
-    report = validate(data)
+    report = _validate_and_mark(data)
     if not report.ok:
         raise InvalidDataError(report)
-    object.__setattr__(data, "_valid", True)
+
+
+def _validate_and_mark(data: FloerData) -> ValidationReport:
+    """validate(data), leaving require_valid's mark on data when it passes."""
+    report = validate(data)
+    if report.ok:
+        object.__setattr__(data, "_valid", True)
+    return report
 
 
 def dualize(data: FloerData) -> FloerData:

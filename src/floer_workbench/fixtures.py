@@ -27,7 +27,8 @@ import random
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from .complexes import (DEGREE_MOD, FloerData, GradedComplex, Kind, validate)
+from .complexes import (DEGREE_MOD, FloerData, GradedComplex, Kind,
+                        _validate_and_mark)
 from .linalg import RatMatrix, Vector, invert, rational, format_rational
 
 SECTION_NAMES = ("kind", "generators", "differential", "u", "delta", "delta_prime")
@@ -485,8 +486,10 @@ def parse(text: str, check: bool = True) -> FloerData:
     """Parse a fixture document; syntax errors carry line and column.
 
     With check=True (the default) structural validation runs after parsing
-    and a SemanticError names the first violated invariant.  check=False
-    returns the raw data so a caller can produce its own validation report.
+    and a SemanticError names the first violated invariant; data that
+    passes carries require_valid's mark, so it is not validated again.
+    check=False returns the raw data so a caller can produce its own
+    validation report.
     """
     sections = {name: [] for name in SECTION_NAMES}
     current = None
@@ -586,7 +589,7 @@ def parse(text: str, check: bool = True) -> FloerData:
         kind=kind,
     )
     if check:
-        report = validate(data)
+        report = _validate_and_mark(data)
         if not report.ok:
             first = report.violations[0]
             raise SemanticError(first.invariant, str(report))

@@ -25,9 +25,15 @@ only then are the block members combined into vectors under the exact
 total-norm target, sorted by coordinates.  Listing is refused above
 LIST_CAP vectors.
 
-Every class of E8/2E8 has a member of norm at most 4 (doubled norm 16),
-so a block's class minimum is searched under that budget whatever the
-block's own norm.
+Every class of E8/2E8 has minimal norm 0, 2 or 4 (SPLAG ch. 4 sec. 8.1),
+doubled 0, 8 or 16.  So a block's class minimum is searched under doubled
+norm 8 whatever the block's own norm: the search finds the minimum when it
+is 0 or 8, and finds nothing exactly when it is 16.  Within one call each
+distinct (block, budget) is searched once, so a class that repeats a block
+(w0^16) searches it once, and an extremal block whose minimum search
+already reached its own norm is not searched again for its members.  A
+class whose member search would go above _MEMBER_BUDGET_CAP is refused
+before any member search.
 """
 
 from __future__ import annotations
@@ -65,6 +71,15 @@ class LatticeVector:
                 raise LatticeError("doubled coordinates must be integers")
             coerced.append(c)
         object.__setattr__(self, "doubled", tuple(coerced))
+
+    @classmethod
+    def _trusted(cls, blocks: int, doubled: tuple) -> "LatticeVector":
+        """A vector on a tuple of 8 * blocks ints, taken as it is; for
+        vectors built from block members already known valid."""
+        v = object.__new__(cls)
+        object.__setattr__(v, "blocks", blocks)
+        object.__setattr__(v, "doubled", doubled)
+        return v
 
     def block(self, b: int) -> tuple:
         return self.doubled[BLOCK * b:BLOCK * (b + 1)]
@@ -204,14 +219,39 @@ def _block_class_members(wb: tuple, budget_q: int) -> dict:
     return {q: sorted(vs) for q, vs in sorted(found.items())}
 
 
-# Every class of E8/2E8 has a member of doubled norm at most this.
-_CLASS_MIN_BUDGET = 16
+# Every class of E8/2E8 has minimal norm 0, 2 or 4, doubled 0, 8 or 16, and
+# doubled norms of E8 vectors are multiples of 8.  A search under this budget
+# therefore finds the class minimum when it is 0 or 8; when it finds nothing,
+# the minimum is 16.
+_CLASS_MIN_BUDGET = 8
+
+# The largest doubled norm a class member search may reach (norm 32): the
+# class of 4,4,0,0,0,0,0,0 has 26641 block members up to it and counts in
+# about half a second, while budgets 200, 288 and 512 give 115278, 522001
+# and 4845121 members, and the last does not finish in a minute.
+_MEMBER_BUDGET_CAP = 128
 
 
-def _block_class_min(wb: tuple) -> int:
-    """Least doubled norm in the class of one block."""
+def _searcher():
+    """_block_class_members with each (block, budget) searched once."""
+    found = {}
+
+    def search(wb: tuple, budget_q: int) -> dict:
+        if (wb, budget_q) not in found:
+            found[wb, budget_q] = _block_class_members(wb, budget_q)
+        return found[wb, budget_q]
+    return search
+
+
+def _block_class_min(wb: tuple, search=None) -> int:
+    """Least doubled norm in the class of one block.
+
+    search, when given, is the calling operation's _searcher(), so that the
+    members found here serve a later search of the same budget.
+    """
     own = sum(c * c for c in wb)
-    return min(_block_class_members(wb, min(own, _CLASS_MIN_BUDGET)))
+    members = (search or _block_class_members)(wb, min(own, _CLASS_MIN_BUDGET))
+    return min(members) if members else 16
 
 
 def _class_groups(w: LatticeVector) -> tuple:
@@ -221,12 +261,20 @@ def _class_groups(w: LatticeVector) -> tuple:
     members of doubled norm at most target minus the other blocks' class
     minima, so every member that can appear in a vector of norm w^2 is
     there, and the least key of each block's groups is its class minimum.
+    Equal blocks share one groups dict.  Raises LatticeError, before any
+    member search, when a block's budget is above _MEMBER_BUDGET_CAP.
     """
     target = sum(c * c for c in w.doubled)
-    mins = [_block_class_min(w.block(b)) for b in range(w.blocks)]
+    blocks = [w.block(b) for b in range(w.blocks)]
+    search = _searcher()
+    mins = [_block_class_min(wb, search) for wb in blocks]
     slack = target - sum(mins)
-    return target, [_block_class_members(w.block(b), mins[b] + slack)
-                    for b in range(w.blocks)]
+    budget = max(mins) + slack
+    if budget > _MEMBER_BUDGET_CAP:
+        raise LatticeError("the class needs block members up to |v^2| = %d, "
+                           "beyond the %d that can be searched"
+                           % (budget // 4, _MEMBER_BUDGET_CAP // 4))
+    return target, [search(wb, q + slack) for wb, q in zip(blocks, mins)]
 
 
 def _series_coefficient(target: int, per_block: list) -> int:
@@ -248,10 +296,11 @@ def _members_in_class(w: LatticeVector, per_block: list) -> bool:
 
     A vector is congruent to w mod 2*lattice exactly when each of its
     blocks is congruent to the same block of w, so this checks every
-    vector the groups combine into, one block at a time.
+    vector the groups combine into, one distinct block at a time.
     """
-    for b, groups in enumerate(per_block):
-        wb = LatticeVector(1, w.block(b))
+    distinct = {w.block(b): groups for b, groups in enumerate(per_block)}
+    for block, groups in distinct.items():
+        wb = LatticeVector(1, block)
         if not all(same_class(LatticeVector(1, member), wb)
                    for members in groups.values() for member in members):
             return False
@@ -282,7 +331,7 @@ def _combine(w: LatticeVector, target: int, per_block: list) -> list:
     results = []
     combine(0, target, (), results)
     results.sort()
-    return [LatticeVector(w.blocks, tup) for tup in results]
+    return [LatticeVector._trusted(w.blocks, tup) for tup in results]
 
 
 def congruent_vectors(w: LatticeVector) -> list:
@@ -303,7 +352,8 @@ def is_extremal(w: LatticeVector) -> bool:
     """
     require_member(w)
     own = sum(c * c for c in w.doubled)
-    return sum(_block_class_min(w.block(b)) for b in range(w.blocks)) == own
+    search = _searcher()
+    return sum(_block_class_min(w.block(b), search) for b in range(w.blocks)) == own
 
 
 @dataclass
@@ -325,7 +375,13 @@ def eta(w: LatticeVector, keep_vectors: bool = True) -> EtaResult:
     Listing is refused with LatticeError, before any vector is built, for
     a class of more than LIST_CAP vectors, so a default eta(w) raises there
     (w0^5 and up); a caller who needs only the count passes
-    keep_vectors=False, which has no cap.  The search runs in one thread;
+    keep_vectors=False, which has no list cap.  Either way a class whose
+    block member search would go above |v^2| = 32 (doubled norm 128; the
+    class of 4,4,0,0,0,0,0,0 is the largest single block allowed) is
+    refused with LatticeError before any member search, so classes such
+    as 5,5,0,0,0,0,0,0 fail at once instead of running for seconds or
+    not finishing; the CLI exits 1 with the reason.  The search runs in
+    one thread;
     the CLI's `eta --workers` is accepted and ignored and reaches no
     parameter here.
     """

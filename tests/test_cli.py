@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -246,6 +247,29 @@ def test_disjoint_union_validates_each_factor_once(capsys, monkeypatch):
     assert len(seen) == len({id(data) for data in seen}) == 4
 
 
+def test_file_documents_are_validated_once(tmp_path, capsys, monkeypatch):
+    # parse validates each document and marks it, so require_valid on the
+    # loaded factor does not validate it again
+    from floer_workbench import complexes, fixtures
+
+    paths = []
+    for i, spec in enumerate(("NilpotentLadder:2", "NilpotentLadder:3")):
+        path = tmp_path / ("factor%d.fx" % i)
+        path.write_text(fixtures.serialize(fixtures.builtin(spec)))
+        paths.append(str(path))
+    seen = []
+    validate = complexes.validate
+    monkeypatch.setattr(complexes, "validate", lambda data: seen.append(data) or validate(data))
+    code, _, _ = run(capsys, "disjoint-union", "--file-a", paths[0],
+                     "--file-b", paths[1], "--homology")
+    assert code == 0
+    assert len(seen) == len({id(data) for data in seen}) == 4
+    seen.clear()
+    code, _, _ = run(capsys, "homology", "--file", paths[0])
+    assert code == 0
+    assert len(seen) == 1
+
+
 def test_disjoint_union_with_acyclic_factor_checks_nothing(tmp_path, capsys):
     # d p = q leaves no homology, so the reduced union has no generators
     doc = tmp_path / "acyclic.txt"
@@ -380,14 +404,79 @@ def test_eta_list_refused_above_cap(capsys):
     assert "16777216" in err and "65536" in err
 
 
-def test_closed_stdout_exits_one_without_traceback():
+def test_lattice_jobs_search_each_distinct_block_once(capsys, monkeypatch):
+    budgets = []
+    search = lattice._block_class_members
+
+    def recorded(wb, budget_q):
+        budgets.append(budget_q)
+        return search(wb, budget_q)
+
+    monkeypatch.setattr(lattice, "_block_class_members", recorded)
+    # one block repeated 16 times; nothing of norm 2 or less in its class
+    code, out, _ = run(capsys, "extremal", "--class", "w0^16")
+    assert code == 0
+    assert "extremal: true\n" in out
+    assert budgets == [8]
+    budgets.clear()
+    # the minimum search, then the members up to the minimum it implies
+    code, out, _ = run(capsys, "eta", "--class", "w0^3", "--list")
+    assert code == 0
+    assert out.count("\nvector ") == 4096
+    assert budgets == [8, 16]
+
+
+def reference_list_report(capsys, spec, as_json):
+    """eta --list as formatted one coordinate at a time: the report of the
+    count job followed by each enumerated vector's coordinates."""
+    json_flag = ["--json"] if as_json else []
+    code, header, _ = run(capsys, "eta", "--class=" + spec, *json_flag)
+    assert code == 0
+    vectors = lattice.congruent_vectors(lattice.parse_vector(spec))
+    rows = [[str(Fraction(c, 2)) for c in v.doubled] for v in vectors]
+    if as_json:
+        payload = json.loads(header)
+        for i, row in enumerate(rows):
+            payload["vector %d" % i] = row
+        return json.dumps(payload, indent=2) + "\n"
+    return header + "".join("vector %d: %s\n" % (i, " ".join(row))
+                            for i, row in enumerate(rows))
+
+
+def test_eta_list_matches_per_coordinate_formatting(capsys):
+    # w0^2, halfsum^3, and a root block beside a half-integer norm-4 block
+    for spec in ("w0^2", "halfsum^3",
+                 "0,0,0,0,0,0,-1,1,-3/2,1/2,1/2,1/2,1/2,1/2,1/2,1/2"):
+        for as_json in (False, True):
+            json_flag = ["--json"] if as_json else []
+            code, out, err = run(capsys, "eta", "--class=" + spec, "--list", *json_flag)
+            assert code == 0 and err == ""
+            assert out == reference_list_report(capsys, spec, as_json), (spec, as_json)
+
+
+def _cli_env():
     src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_eta_refuses_oversized_class_without_hanging():
+    # its one block would need every class member up to norm 128
+    proc = subprocess.run(
+        [sys.executable, "-m", "floer_workbench.cli", "eta", "--class",
+         "8,8,0,0,0,0,0,0"], capture_output=True, env=_cli_env(), timeout=10)
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert proc.stderr == (b"error: the class needs block members up to "
+                           b"|v^2| = 128, beyond the 32 that can be searched\n")
+
+
+def test_closed_stdout_exits_one_without_traceback():
     # about 270 KB of report, more than a pipe buffers, so writes must fail
     proc = subprocess.Popen(
         [sys.executable, "-m", "floer_workbench.cli", "eta", "--class", "w0^3",
-         "--list"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+         "--list"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_cli_env())
     assert proc.stdout.readline() == b"command: eta\n"
     proc.stdout.close()
     err = proc.stderr.read()

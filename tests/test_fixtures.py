@@ -113,6 +113,20 @@ def test_parse_semantic_gate():
     assert not validate(raw).ok
 
 
+def test_parse_marks_valid_data_for_require_valid(monkeypatch):
+    from floer_workbench import complexes
+
+    text = serialize(builtin("NilpotentLadder:2"))
+    checked = parse(text)
+    raw = parse(text, check=False)
+    seen = []
+    monkeypatch.setattr(complexes, "validate", lambda data: seen.append(data) or validate(data))
+    complexes.require_valid(checked)
+    assert seen == []
+    complexes.require_valid(raw)
+    assert seen == [raw]
+
+
 def test_parse_accepts_comments_and_blank_lines():
     data = builtin("Pplus")
     text = serialize(data) + "\n# trailing note\n\n"

@@ -233,11 +233,17 @@ def doubled_norm(d):
     return sum(c * c for c in d)
 
 
-def test_e8_classes_mod_2_split_1_120_135():
+def e8_classes_mod_2():
+    """{class key: its members of doubled norm <= 16}, from the full grid."""
     classes = {}
     for d in short_e8_blocks(16):
         key = tuple(a % 2 for a in e8_basis_coordinates(d))
         classes.setdefault(key, []).append(d)
+    return classes
+
+
+def test_e8_classes_mod_2_split_1_120_135():
+    classes = e8_classes_mod_2()
     assert len(classes) == 256
     profile = {}
     for members in classes.values():
@@ -253,9 +259,29 @@ def test_e8_classes_mod_2_split_1_120_135():
 
 
 def test_capped_class_minimum_matches_uncapped_search():
-    """_block_class_min searches under doubled norm 16, since every class
-    has a member of norm at most 4; the search up to the block's own norm
-    finds the same minimum."""
+    """_block_class_min searches under doubled norm 8.  Every class of
+    E8/2E8 has minimal norm 0, 2 or 4, doubled 0, 8 or 16, so that search
+    finds a minimum of 0 or 8 and finds nothing exactly when the minimum is
+    16.  The search up to the block's own norm finds the same minimum, on a
+    representative of each of the 256 classes, on the same representative
+    moved up by 2 * (2, 0, ..., 0), and on seeded blocks up to norm 16."""
+    budgets = []
+    search = lattice._block_class_members
+
+    def recorded(wb, budget_q):
+        budgets.append(budget_q)
+        return search(wb, budget_q)
+
+    for members in e8_classes_mod_2().values():
+        low = min(members)
+        for wb in (low, (low[0] + 8,) + low[1:]):
+            own = doubled_norm(wb)
+            budgets.clear()
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(lattice, "_block_class_members", recorded)
+                capped = lattice._block_class_min(wb)
+            assert budgets == [min(own, 8)]
+            assert capped == min(lattice._block_class_members(wb, own))
     rng = random.Random(1616)
     above_cap = 0
     for _ in range(240):
@@ -368,8 +394,8 @@ def test_eta_count_builds_one_block_vectors_only(monkeypatch):
     result = eta(w, keep_vectors=False)
     assert result.count == 16 ** 6
     assert result.all_in_class
-    # one per block member (16 in each block) and one per block of w
-    assert built == [1] * (6 * 16 + 6)
+    # one per member of the one distinct block (16) and one for that block
+    assert built == [1] * (16 + 1)
 
 
 def test_all_in_class_comes_from_same_class(monkeypatch):
@@ -399,3 +425,61 @@ def test_eta_refuses_to_list_above_cap(monkeypatch):
     assert len(eta(W0).vectors) == 16
     with pytest.raises(LatticeError):
         eta(concat(W0, ROOT))
+
+
+def test_listed_vectors_equal_publicly_built_ones():
+    for w in (concat(W0, W0), concat(ROOT, HALF_SUM, W0), seeded_mixed_classes()[0]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            vectors = eta(w).vectors
+        public = [LatticeVector(v.blocks, tuple(v.doubled)) for v in vectors]
+        assert list(vectors) == public
+        assert [hash(v) for v in vectors] == [hash(v) for v in public]
+        assert all(type(v) is LatticeVector and type(v.doubled) is tuple
+                   for v in vectors)
+        assert len(set(vectors) | set(public)) == len(vectors)
+
+
+def test_repeated_blocks_are_searched_once(monkeypatch):
+    calls = []
+    search = lattice._block_class_members
+
+    def recorded(wb, budget_q):
+        calls.append((wb, budget_q))
+        return search(wb, budget_q)
+
+    monkeypatch.setattr(lattice, "_block_class_members", recorded)
+    # norm-4 block: nothing under 8, so the minimum is 16 and the members
+    # need a second search
+    assert eta(concat(*([W0] * 3))).count == 16 ** 3
+    assert calls == [(W0.doubled, 8), (W0.doubled, 16)]
+    # root block: the minimum search already holds every member
+    calls.clear()
+    assert eta(concat(*([ROOT] * 16)), keep_vectors=False).count == 2 ** 16
+    assert calls == [(ROOT.doubled, 8)]
+    calls.clear()
+    assert is_extremal(concat(W0, ROOT, W0, zero(1), ROOT))
+    assert calls == [(W0.doubled, 8), (ROOT.doubled, 8), ((0,) * 8, 0)]
+
+
+def test_member_search_above_cap_is_refused_before_searching(monkeypatch):
+    # 4,4,0,...: the class of zero searched up to doubled norm 128, the cap
+    largest = from_coords((4, 4, 0, 0, 0, 0, 0, 0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        assert eta(largest, keep_vectors=False).count == 17520
+    search = lattice._block_class_members
+
+    def capped(wb, budget_q):
+        assert budget_q <= 8, "member search on a refused class"
+        return search(wb, budget_q)
+
+    monkeypatch.setattr(lattice, "_block_class_members", capped)
+    for w in (from_coords((5, 5, 0, 0, 0, 0, 0, 0)),
+              from_coords((8, 8, 0, 0, 0, 0, 0, 0)),
+              concat(largest, W0)):
+        with pytest.raises(LatticeError, match="beyond the 32"):
+            eta(w, keep_vectors=False)
+        with pytest.raises(LatticeError):
+            congruent_vectors(w)
+    assert not is_extremal(from_coords((8, 8, 0, 0, 0, 0, 0, 0)))
