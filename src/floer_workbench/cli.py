@@ -80,12 +80,19 @@ def _fmt(value) -> str:
     return str(value)
 
 
+# element types _json_value returns unchanged
+_JSON_NATIVE = (str, int, bool, type(None))
+
+
 def _json_value(value):
     if isinstance(value, bool) or value is None or isinstance(value, int):
         return value
     if isinstance(value, Fraction):
         return format_rational(value)
     if isinstance(value, (list, tuple)):
+        # a listed vector's coordinate texts pass through in one check
+        if all(type(v) in _JSON_NATIVE for v in value):
+            return value
         return [_json_value(v) for v in value]
     return str(value)
 
@@ -169,6 +176,8 @@ def _generator_index(data, name: str) -> int:
 def _class_vector(spec: str) -> lattice.LatticeVector:
     try:
         return lattice.parse_vector(spec)
+    except lattice.PowerTooLarge:
+        raise  # a well-formed request beyond the stated size: exit 1
     except (LatticeError, ValueError) as exc:
         raise UsageError("bad --class %r: %s" % (spec, exc)) from None
 
@@ -253,7 +262,16 @@ def cmd_connect_sum(args) -> int:
     a, desc_a = _load_factor("left", args.a, args.file_a, args.u_param)
     b, desc_b = _load_factor("right", args.b, args.file_b, args.u_param)
     signs = _parse_signs(args.signs) if args.signs else None
-    built = connect_sum.connected_sum_complex(a, b, signs=signs)
+    if args.search:
+        # homology dimensions are constant on each gauge orbit of configs,
+        # so one representative per accepted orbit is ranked
+        built, accepted, totals = connect_sum._search(
+            a, b, signs or connect_sum.DEFAULT_SIGNS)
+        orbit_dims = {key: _homology_dims(total) for key, total in totals.items()}
+        dims = orbit_dims[connect_sum._orbit_class(built.signs)]
+    else:
+        built = connect_sum.connected_sum_complex(a, b, signs=signs)
+        dims = _homology_dims(built.total) if args.homology else None
     rep = Report("connect-sum")
     rep.add("left", desc_a)
     rep.add("right", desc_b)
@@ -261,16 +279,13 @@ def cmd_connect_sum(args) -> int:
     rep.add("generators", built.total.size)
     rep.add("signs", ["%+d" % s for s in built.signs.as_tuple()])
     if args.homology:
-        rep.add("homology-dims", _dims(_homology_dims(built.total)))
+        rep.add("homology-dims", _dims(dims))
     if args.search:
-        configs, dims_seen = [], set()
-        for cfg, total in connect_sum._search_totals(a, b):
-            configs.append(["%+d" % s for s in cfg.as_tuple()])
-            dims_seen.add(tuple(sorted(_homology_dims(total).items())))
-        rep.add("accepted-configs", len(configs))
-        for i, signs in enumerate(configs):
-            rep.add("config %d" % i, signs)
-        rep.add("dims-invariant-across-configs", len(dims_seen) == 1)
+        rep.add("accepted-configs", len(accepted))
+        for i, cfg in enumerate(accepted):
+            rep.add("config %d" % i, ["%+d" % s for s in cfg.as_tuple()])
+        rep.add("dims-invariant-across-configs",
+                len({tuple(sorted(d.items())) for d in orbit_dims.values()}) == 1)
     rep.emit(args.json)
     return 0
 
@@ -613,7 +628,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("connect-sum", help="four-summand sum complex")
     _add_pair_args(p)
-    p.add_argument("--signs", help="five signs, e.g. 1,1,1,1,-1")
+    p.add_argument("--signs", help="five signs, e.g. 1,1,1,1,-1; write "
+                   "--signs=-1,1,1,1,-1 when the first is negative")
     p.add_argument("--search", action="store_true",
                    help="enumerate every sign configuration that squares to zero")
     p.add_argument("--homology", action="store_true", help="include homology dims")
@@ -633,7 +649,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eta", help="congruent-vector count in the E8-block lattice")
     p.add_argument("--class", dest="cls", required=True,
-                   help="w0, w0^n, zero^n, or comma-separated coordinates")
+                   help="w0, w0^n, zero^n (n at most %d), or comma-separated "
+                        "coordinates; write --class=-1,... when the first is "
+                        "negative" % lattice.POWER_CAP)
     p.add_argument("--blocks", type=int, help="expected block count (checked)")
     p.add_argument("--list", action="store_true",
                    help="list the vectors; refused for a class of more than %d"
@@ -644,7 +662,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("extremal", help="extremality and minimal charge index")
-    p.add_argument("--class", dest="cls", required=True)
+    p.add_argument("--class", dest="cls", required=True,
+                   help="as for eta; write --class=-1,... when the first "
+                        "coordinate is negative")
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("verify-sum-bound", help="kernel cycle pairing at the shifted level")

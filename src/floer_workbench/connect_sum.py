@@ -43,6 +43,19 @@ s12 s24 = s14 and s13 s34 = -s14 whenever both boundary functionals are
 active.  The default configuration (1, 1, 1, 1, -1) satisfies both
 constraints, so it squares to zero for every pair of valid inputs.
 
+The family falls into four gauge orbits of eight.  Flipping the basis sign
+of summand t by g_t = +-1 (g_1 = 1), that is conjugating by the diagonal
+G = diag(g_t), fixes D0 and scales the cross block from S_j to S_i by
+g_i g_j, so G D(s) G = D(s') with s'_ij = g_i g_j s_ij.  The signs round the
+two cycles of the summand graph, c2 = s12 s24 s14 and c3 = s13 s34 s14, are
+the invariants, and g_2, g_3, g_4 are read off s'_12, s'_13, s'_14, so each
+(c2, c3) class is one orbit of eight configurations.  As D(s')^2 =
+G D(s)^2 G, acceptance and every homology dimension are constant on an
+orbit: the signed sum of the square terms is formed once per orbit, and
+connect-sum --search ranks one representative per accepted orbit.  A sum
+complex has 2 na nb + n2 + n3 generators, known from the factors' sizes and
+kinds; above SUM_GENERATOR_CAP it is refused before anything is built.
+
 On a disjoint union (shape (1, 4)), extended_u places u (x) I at the same
 offsets on S1 and S4, and kernel_symmetry_check tests that the placements
 of u agree in homology on a list of cycles, against one boundary solver
@@ -81,6 +94,11 @@ class SignSearchError(ValueError):
 
 SIGN_NAMES = ("s12", "s13", "s14", "s24", "s34")
 
+# The most generators a sum or union complex may have.  The nPplusModel:40
+# self-sum has 12960; the nPplusModel:49 one (19404) runs --search
+# --homology in about 5 s and 42 MB (Python 3.11, 2 CPUs).
+SUM_GENERATOR_CAP = 20000
+
 
 @dataclass(frozen=True)
 class SignConfig:
@@ -100,6 +118,14 @@ class SignConfig:
 
 
 DEFAULT_SIGNS = SignConfig()
+
+# the family in sign_search's order: lexicographic, +1 before -1
+_FAMILY = tuple(SignConfig(*bits) for bits in itertools.product((1, -1), repeat=5))
+
+
+def _orbit_class(signs: SignConfig) -> tuple:
+    """(c2, c3) = (s12 s24 s14, s13 s34 s14), constant on a gauge orbit."""
+    return (signs.s12 * signs.s24 * signs.s14, signs.s13 * signs.s34 * signs.s14)
 
 
 @dataclass
@@ -221,27 +247,44 @@ class _Assembly:
             terms[m ^ n] = terms.get(m ^ n, zero) + x @ y
         return {m: t for m, t in terms.items() if not t.is_zero()}
 
-    def check_degrees(self, m: RatMatrix) -> None:
-        for (r, c) in m.entries:
-            if self.degrees[r] != (self.degrees[c] - 1) % DEGREE_MOD:
-                raise SignSearchError(
-                    "construction produced an off-degree entry %s <- %s"
-                    % (self.names[r], self.names[c]))
+    def check_degrees(self) -> None:
+        """Every block entry lowers degree by one.  The blocks' supports
+        make up the support of every D(s), in D(s)'s entry order."""
+        for block in (self.diagonal, *self.cross.values()):
+            for (r, c) in block.entries:
+                if self.degrees[r] != (self.degrees[c] - 1) % DEGREE_MOD:
+                    raise SignSearchError(
+                        "construction produced an off-degree entry %s <- %s"
+                        % (self.names[r], self.names[c]))
 
 
 def _assembly(a: FloerData, b: FloerData, u_scale: Fraction) -> _Assembly:
+    """The assembly of a and b, refused before anything is built when the
+    total complex would have more than SUM_GENERATOR_CAP generators."""
+    theta_right = b.kind is Kind.HOMOLOGY_SPHERE
+    theta_left = a.kind is Kind.HOMOLOGY_SPHERE
+    size = (2 * a.size * b.size + (a.size if theta_right else 0)
+            + (b.size if theta_left else 0))
+    if size > SUM_GENERATOR_CAP:
+        raise ValueError("the sum complex would have %d generators, above the "
+                         "cap of %d" % (size, SUM_GENERATOR_CAP))
     require_valid(a)
     require_valid(b)
-    return _Assembly(a, b,
-                     theta_right=(b.kind is Kind.HOMOLOGY_SPHERE),
-                     theta_left=(a.kind is Kind.HOMOLOGY_SPHERE),
+    return _Assembly(a, b, theta_right=theta_right, theta_left=theta_left,
                      u_scale=u_scale)
 
 
-def _finish(asm: _Assembly, a, b, signs: SignConfig) -> ConnectSumComplex:
+def _finish(asm: _Assembly, a, b, signs: SignConfig,
+            verdicts: Optional[dict] = None) -> ConnectSumComplex:
+    """The total complex for signs, certified to square to zero by the
+    orbit verdicts of asm's square terms when given, else by d @ d."""
     diff = asm.differential(signs)
-    asm.check_degrees(diff)
-    if not (diff @ diff).is_zero():
+    asm.check_degrees()
+    if verdicts is None:
+        squares_to_zero = (diff @ diff).is_zero()
+    else:
+        squares_to_zero = verdicts[_orbit_class(signs)]
+    if not squares_to_zero:
         raise SignSearchError("differential does not square to zero for signs %s"
                               % (signs.as_tuple(),))
     total = GradedComplex(tuple(asm.names), tuple(asm.degrees), diff)
@@ -265,44 +308,59 @@ def sign_search(a: FloerData, b: FloerData) -> list:
 
     The square terms T_m come from one product of each pair of blocks; a
     configuration s is accepted when sum over m of (prod_{k in m} s_k) T_m
-    is zero, so no per-configuration differential is built or squared.
-    Iteration order is lexicographic with +1 before -1, so the first element
-    is the canonical accepted configuration for the given inputs.
+    is zero, so no per-configuration differential is built or squared, and
+    that sum is formed once per gauge orbit.  Iteration order is
+    lexicographic with +1 before -1, so the first element is the canonical
+    accepted configuration for the given inputs.
     """
-    return _accepted(_assembly(a, b, Fraction(2)).square_terms())
+    return _accepted(_orbit_verdicts(_assembly(a, b, Fraction(2)).square_terms()))
 
 
-def _accepted(terms: dict) -> list:
-    """The configurations, in sign_search's order, under which the signed
-    sum of the square terms vanishes."""
-    accepted = []
-    for bits in itertools.product((1, -1), repeat=5):
-        signs = SignConfig(*bits)
-        square = {}
-        for m, t in terms.items():
-            sign = math.prod(getattr(signs, name) for name in m)
-            square = vec_add(square, vec_scale(sign, t.entries))
-        if not square:
-            accepted.append(signs)
+def _orbit_verdicts(terms: dict) -> dict:
+    """(c2, c3) -> whether D(s)^2 = 0 on that orbit, from the signed sum of
+    the square terms at the orbit's first configuration."""
+    verdicts = {}
+    for signs in _FAMILY:
+        key = _orbit_class(signs)
+        if key not in verdicts:
+            square = {}
+            for m, t in terms.items():
+                sign = math.prod(getattr(signs, name) for name in m)
+                square = vec_add(square, vec_scale(sign, t.entries))
+            verdicts[key] = not square
+    return verdicts
+
+
+def _accepted(verdicts: dict) -> list:
+    """The configurations, in sign_search's order, of the accepted orbits."""
+    accepted = [signs for signs in _FAMILY if verdicts[_orbit_class(signs)]]
     if not accepted:
         raise SignSearchError("no sign configuration squares to zero; "
                               "the inputs are structurally inconsistent")
     return accepted
 
 
-def _search_totals(a: FloerData, b: FloerData):
-    """Yields (config, total complex) for each configuration sign_search
-    accepts, in its order, all from one assembly.
+def _search(a: FloerData, b: FloerData, signs: SignConfig) -> tuple:
+    """(built, accepted, orbit totals) for connect-sum --search, from one
+    assembly.
 
-    Nothing is validated, rebuilt or squared per configuration: the square
-    terms already certify each accepted one, and every configuration has
-    the same support, so connected_sum_complex's degree check on any one of
-    them covers them all.
+    built is connected_sum_complex(a, b, signs), certified by the square
+    terms instead of d @ d; accepted is sign_search(a, b).  orbit totals
+    maps the (c2, c3) class of each accepted orbit to the total complex of
+    its first configuration, which has the homology dimensions of every
+    configuration in the orbit.
     """
     asm = _assembly(a, b, Fraction(2))
-    names, degrees = tuple(asm.names), tuple(asm.degrees)
-    for signs in _accepted(asm.square_terms()):
-        yield signs, GradedComplex(names, degrees, asm.differential(signs))
+    verdicts = _orbit_verdicts(asm.square_terms())
+    built = _finish(asm, a, b, signs, verdicts)
+    accepted = _accepted(verdicts)
+    totals = {}
+    for config in accepted:
+        key = _orbit_class(config)
+        if key not in totals:
+            totals[key] = (built.total if config == signs else GradedComplex(
+                built.total.names, built.total.degrees, asm.differential(config)))
+    return built, accepted, totals
 
 
 def disjoint_union_complex(a: FloerData, b: FloerData) -> ConnectSumComplex:

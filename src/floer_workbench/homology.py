@@ -7,9 +7,12 @@ down.  homology() keeps both on the space it returns, so reduce_to_homology
 reads them instead of eliminating the blocks again.
 
 Reports that print only dimensions need no basis: with n_r generators in
-degree r, dim H_r = n_r - rank d_r - rank d_(r+1), and _rank_counts takes
-one forward-only rank per block (linalg.rank) for the cycle and boundary
-counts.  homology() stays the path for representatives and the oracle for
+degree r, dim H_r = n_r - rank d_r - rank d_(r+1), where d_r is the block
+of degree-r columns.  As d lowers degree by one, the nonzero rows of that
+block are exactly d's rows in degree r - 1, so _rank_counts groups d's
+cached integer rows by degree and takes one forward-only rank per nonempty
+degree block on its row group (linalg._row_rank); no column block is
+built.  homology() stays the path for representatives and the oracle for
 those counts.
 
 Representatives are picked degree by degree: seed an exact solver with the
@@ -25,8 +28,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .complexes import DEGREE_MOD, FloerData, GradedComplex, require_valid
-from .linalg import (LinearSolver, RatMatrix, Vector, dot, image_basis,
-                     kernel_basis, outer, rank)
+from .linalg import (LinearSolver, RatMatrix, Vector, _row_rank, dot,
+                     image_basis, kernel_basis, outer)
 
 
 class DescentObstruction(ValueError):
@@ -92,18 +95,22 @@ def _degree_blocks(cx: GradedComplex) -> dict:
 def _rank_counts(cx: GradedComplex) -> tuple:
     """(cycle counts, boundary counts) by residue, from one rank per block.
 
-    The block in degree r has rank d_r, so dim Z_r = n_r - rank d_r and
-    dim B_(r-1) = rank d_r; dim H_r is their difference.  cx must be a
-    complex, as for homology().
+    The block in degree r has rank d_r, the rank of d's rows in degree
+    r - 1, so dim Z_r = n_r - rank d_r and dim B_(r-1) = rank d_r; dim H_r
+    is their difference.  cx must be a complex with d of degree -1, as for
+    homology().
     """
     cycles = dict.fromkeys(range(DEGREE_MOD), 0)
     boundaries = dict.fromkeys(range(DEGREE_MOD), 0)
-    d = cx.differential
-    d._integer_form()  # built once here, carried to every block
-    for r, cols in _degree_blocks(cx).items():
-        k = rank(d.restrict_columns(cols))
-        cycles[r] = len(cols) - k
-        boundaries[(r - 1) % DEGREE_MOD] = k
+    degrees = cx.degrees
+    row_groups = {}
+    for r, line in cx.differential._integer_form()[1].items():
+        row_groups.setdefault(degrees[r], []).append(line)
+    for r, n in cx.dims_by_degree().items():
+        below = (r - 1) % DEGREE_MOD
+        k = _row_rank(row_groups.get(below, ()))
+        cycles[r] = n - k
+        boundaries[below] = k
     return cycles, boundaries
 
 

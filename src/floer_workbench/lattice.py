@@ -48,10 +48,18 @@ from .linalg import rational
 BLOCK = 8
 # The most vectors `eta` lists: 16^4, the w0^4 class.  Counting has no cap.
 LIST_CAP = 16 ** 4
+# The most blocks a named vector may be repeated to ('w0^k', 'zero^k').
+# The count of w0^k is 16^k, and Python prints no int of more than 4300
+# digits, which 16^k passes at k = 3572.
+POWER_CAP = 2048
 
 
 class LatticeError(ValueError):
     pass
+
+
+class PowerTooLarge(LatticeError):
+    """A well-formed 'name^k' whose k is above POWER_CAP."""
 
 
 @dataclass(frozen=True)
@@ -120,7 +128,11 @@ _NAMED = {"zero": None, "w0": W0, "root": ROOT, "halfsum": HALF_SUM}
 
 
 def parse_vector(spec: str) -> LatticeVector:
-    """Read 'w0', 'w0^3', 'zero', 'zero^3', or comma-separated coords."""
+    """Read 'w0', 'w0^3', 'zero', 'zero^3', or comma-separated coords.
+
+    A power above POWER_CAP is refused with PowerTooLarge before any
+    vector is built.
+    """
     spec = spec.strip()
     if "," in spec:
         return from_coords(part.strip() for part in spec.split(","))
@@ -133,6 +145,9 @@ def parse_vector(spec: str) -> LatticeVector:
         reps = int(power)
         if reps < 1:
             raise LatticeError("power must be >= 1")
+        if reps > POWER_CAP:
+            raise PowerTooLarge("power %d is above the cap of %d blocks"
+                                % (reps, POWER_CAP))
     if name == "zero":
         return zero(reps)
     base = _NAMED[name]

@@ -9,8 +9,9 @@ ever touches a float.
 A matrix also builds, once and on first use, an integer form: the lcm den
 of its entries' denominators and the integer rows of den times the matrix,
 in the row view's order.  Products (@) multiply integer forms and build
-one Fraction per output entry; rank eliminates copies of the integer rows;
-restrict_columns hands a cached form on to the block.  The public
+one Fraction per output entry; rank eliminates copies of the integer rows,
+and so can any group of them (_row_rank), such as the rows of one degree
+that homology._rank_counts ranks in place of a column block.  The public
 constructor coerces and bounds-checks every entry, but matrices built from
 other matrices' entries (sums, differences, scalings, transposes, products,
 column blocks, the connected-sum blocks) skip both through
@@ -131,24 +132,23 @@ class RatMatrix:
             q = rational(val)
             if q:
                 clean[(r, c)] = q
-        self._fill(rows, cols, clean, None)
+        self._fill(rows, cols, clean)
 
     @classmethod
-    def _trusted(cls, rows: int, cols: int, entries: dict,
-                 form: Optional[tuple] = None) -> "RatMatrix":
+    def _trusted(cls, rows: int, cols: int, entries: dict) -> "RatMatrix":
         """A matrix on entries already known to be nonzero Fractions inside
-        the shape, taken as they are; form is its integer form, if known."""
+        the shape, taken as they are."""
         m = object.__new__(cls)
-        m._fill(rows, cols, entries, form)
+        m._fill(rows, cols, entries)
         return m
 
-    def _fill(self, rows: int, cols: int, entries: dict, form: Optional[tuple]) -> None:
+    def _fill(self, rows: int, cols: int, entries: dict) -> None:
         object.__setattr__(self, "rows", rows)
         object.__setattr__(self, "cols", cols)
         object.__setattr__(self, "entries", entries)
         object.__setattr__(self, "_by_col", None)
         object.__setattr__(self, "_by_row", None)
-        object.__setattr__(self, "_int", form)
+        object.__setattr__(self, "_int", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatMatrix is immutable")
@@ -254,8 +254,7 @@ class RatMatrix:
     def _integer_form(self) -> tuple:
         """(den, row -> {col: den * value}), rows in the row view's order.
 
-        den is a common denominator of the entries: their lcm, or the one
-        of the matrix a column block was restricted from.  Built once.
+        den is the lcm of the entries' denominators.  Built once.
         """
         if self._int is None:
             den = lcm(*(v.denominator for v in self.entries.values()))
@@ -292,21 +291,13 @@ class RatMatrix:
         return [dict(view.get(c, {})) for c in range(self.cols)]
 
     def restrict_columns(self, cols: list) -> "RatMatrix":
-        """Submatrix on the given columns, renumbered 0, 1, ... in that order.
-
-        A cached integer form is carried over, with the same denominator.
-        """
+        """Submatrix on the given columns, renumbered 0, 1, ... in that order."""
         view = self._column_view()
         entries = {}
         for local, c in enumerate(cols):
             for r, v in view.get(c, {}).items():
                 entries[(r, local)] = v
-        form = None
-        if self._int is not None:
-            den, rows = self._int
-            ints = {(r, local): rows[r][cols[local]] for r, local in entries}
-            form = (den, _group_lines(ints, 0))
-        return RatMatrix._trusted(self.rows, len(cols), entries, form)
+        return RatMatrix._trusted(self.rows, len(cols), entries)
 
     def to_dense(self) -> list:
         return [[self.entries.get((r, c), Fraction(0)) for c in range(self.cols)] for r in range(self.rows)]
@@ -358,8 +349,14 @@ def rank(m: RatMatrix) -> int:
     insertion order clears a new row at every pivot: clearing a later pivot
     never brings back an earlier one.
     """
+    return _row_rank(m._integer_form()[1].values())
+
+
+def _row_rank(rows: Iterable[dict]) -> int:
+    """Rank of integer rows, as rank eliminates them; each row is copied
+    before it is changed, so cached rows can be passed as they are."""
     kept = []  # (pivot, primitive integer row), in insertion order
-    for raw in m._integer_form()[1].values():
+    for raw in rows:
         row = dict(raw)
         for pivot, other in kept:
             if pivot in row:

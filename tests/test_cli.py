@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import inspect
 import json
@@ -8,7 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from floer_workbench import cli, connect_sum, lattice
+from floer_workbench import cli, connect_sum, fixtures, lattice
+from floer_workbench.linalg import RatMatrix
 
 
 def run(capsys, *argv):
@@ -324,29 +326,57 @@ def test_disjoint_union_homology_dims_add_no_homology_call(capsys, monkeypatch):
     assert sizes == without == [4, 6]
 
 
-def test_connect_sum_search_assembles_twice(capsys, monkeypatch):
-    calls, assemblies = [], []
+def test_connect_sum_search_assembles_once(capsys, monkeypatch):
+    # one assembly certifies the reported config from its square terms and
+    # ranks one representative per accepted gauge orbit
+    calls, assemblies, ranked, restricted = [], [], [], []
     build = connect_sum.connected_sum_complex
     init = connect_sum._Assembly.__init__
-
-    def counting_build(*args, **kwargs):
-        calls.append(kwargs.get("signs"))
-        return build(*args, **kwargs)
+    homology_module = importlib.import_module("floer_workbench.homology")
+    row_rank = homology_module._row_rank
+    restrict = RatMatrix.restrict_columns
+    model = fixtures.builtin("TrefoilLikeSynthetic")
+    blocks = len(build(model, model).total.dims_by_degree())
 
     def counting_init(self, *args, **kwargs):
         assemblies.append(self)
         init(self, *args, **kwargs)
 
-    monkeypatch.setattr(connect_sum, "connected_sum_complex", counting_build)
+    monkeypatch.setattr(connect_sum, "connected_sum_complex",
+                        lambda *args, **kwargs: calls.append(1) or build(*args, **kwargs))
     monkeypatch.setattr(connect_sum._Assembly, "__init__", counting_init)
+    monkeypatch.setattr(homology_module, "_row_rank",
+                        lambda rows: ranked.append(1) or row_rank(rows))
+    monkeypatch.setattr(RatMatrix, "restrict_columns",
+                        lambda m, cols: restricted.append(1) or restrict(m, cols))
     code, out, _ = run(capsys, "connect-sum", "--a", "TrefoilLikeSynthetic",
                        "--b", "TrefoilLikeSynthetic", "--search", "--homology")
     assert code == 0
-    # an assembly per accepted config would make 34 here
     assert "accepted-configs: 32\n" in out
     assert "dims-invariant-across-configs: true\n" in out
-    assert calls == [None]
-    assert len(assemblies) == 2
+    assert calls == []
+    assert len(assemblies) == 1
+    assert blocks == 4
+    assert len(ranked) == 4 * blocks  # 32 accepted configs, 4 orbits
+    assert restricted == []
+
+
+def test_connect_sum_refuses_a_sum_above_the_cap(capsys):
+    # nPplusModel:2000 (a sphere of 4000 generators) with Pplus: 20002
+    code, out, err = run(capsys, "connect-sum", "--a", "nPplusModel:2000",
+                         "--b", "Pplus", "--search")
+    assert (code, out) == (1, "")
+    assert err == "error: the sum complex would have 20002 generators, above the cap of 20000\n"
+
+
+def test_signs_starting_with_minus_need_the_equals_form(capsys):
+    argv = ["connect-sum", "--a", "NilpotentLadder:2", "--b", "NilpotentLadder:2"]
+    code, out, err = run(capsys, *argv, "--signs=-1,1,1,1,-1", "--search", "--homology")
+    assert code == 0 and err == ""
+    assert "signs: -1 +1 +1 +1 -1\n" in out
+    assert "accepted-configs: 32\n" in out
+    code, _, err = run(capsys, *argv, "--signs", "-1,1,1,1,-1")
+    assert code == 2 and "expected one argument" in err
 
 
 def test_main_builds_the_parser_once(capsys, monkeypatch):
@@ -470,6 +500,37 @@ def test_eta_refuses_oversized_class_without_hanging():
     assert proc.stdout == b""
     assert proc.stderr == (b"error: the class needs block members up to "
                            b"|v^2| = 128, beyond the 32 that can be searched\n")
+
+
+def test_eta_refuses_oversized_power_without_building_it():
+    # w0^999999999 would be a tuple of 8 * 10^9 coordinates
+    for spec, power in (("w0^999999999", 999999999), ("zero^2049", 2049)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "floer_workbench.cli", "eta", "--class", spec],
+            capture_output=True, env=_cli_env(), timeout=10)
+        assert proc.returncode == 1
+        assert proc.stdout == b""
+        assert proc.stderr == (b"error: power %d is above the cap of 2048 blocks\n"
+                               % power)
+
+
+def test_eta_reports_the_largest_power_in_full(capsys):
+    # 16^2048 has 2467 digits, under the 4300 that Python prints
+    code, out, err = run(capsys, "eta", "--class", "w0^2048")
+    assert (code, err) == (0, "")
+    assert "\ncount: %d\nall-in-class: true\n" % 16 ** 2048 in out
+
+
+def test_eta_list_json_bytes_are_unchanged():
+    # sha256 of the report as printed before lists of coordinate texts
+    # passed through --json formatting unchanged
+    proc = subprocess.run(
+        [sys.executable, "-m", "floer_workbench.cli", "eta", "--class", "w0^3",
+         "--list", "--json"], capture_output=True, env=_cli_env(), timeout=60)
+    assert proc.returncode == 0 and proc.stderr == b""
+    assert len(proc.stdout) == 1002546
+    assert hashlib.sha256(proc.stdout).hexdigest() == (
+        "cd37634fa930433d98b55ec7ab82ae7ef530b82d187e4bfa81722c9ed3ea32ce")
 
 
 def test_closed_stdout_exits_one_without_traceback():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from floer_workbench import connect_sum
+from floer_workbench.complexes import GradedComplex
 from floer_workbench.connect_sum import (
     DEFAULT_SIGNS,
     SignConfig,
@@ -26,7 +27,7 @@ from floer_workbench.fixtures import (
     random_homology_sphere,
     random_nilpotent_phi,
 )
-from floer_workbench.homology import homology, reduce_to_homology
+from floer_workbench.homology import _rank_counts, homology, reduce_to_homology
 from floer_workbench.invariants import NotNilpotent
 from floer_workbench.linalg import (
     RatMatrix,
@@ -277,24 +278,123 @@ def test_sign_search_matches_full_square_oracle():
 
 
 def test_search_totals_match_full_construction_and_homology():
-    """Every accepted config of pairs of all four summand shapes: the one
-    assembly gives connected_sum_complex's total complex, and the rank
-    counts agree with homology()'s canonical bases."""
-    from floer_workbench.homology import _rank_counts
+    """Every accepted config of pairs of all four summand shapes: one
+    assembly's differential gives connected_sum_complex's total complex, and
+    the rank counts agree with homology()'s canonical bases."""
     configs = 0
     for a, b in seeded_pairs(31, per_shape=2):
-        totals = list(connect_sum._search_totals(a, b))
-        assert [cfg for cfg, _ in totals] == sign_search(a, b)
-        for cfg, total in totals:
+        asm = connect_sum._assembly(a, b, Fraction(2))
+        for cfg in sign_search(a, b):
+            total = GradedComplex(asm.names, asm.degrees, asm.differential(cfg))
             assert total == connected_sum_complex(a, b, signs=cfg).total
-            cycles, boundaries = _rank_counts(total)
-            space = homology(total)
-            for r in range(8):
-                assert cycles[r] == len(space.cycles[r])
-                assert boundaries[r] == len(space.boundaries[r])
-                assert cycles[r] - boundaries[r] == space.dims[r]
+            assert_rank_counts_match_bases(total)
             configs += 1
     assert configs >= 200
+
+
+def assert_rank_counts_match_bases(cx):
+    cycles, boundaries = _rank_counts(cx)
+    space = homology(cx)
+    for r in range(8):
+        assert cycles[r] == len(space.cycles[r])
+        assert boundaries[r] == len(space.boundaries[r])
+        assert cycles[r] - boundaries[r] == space.dims[r]
+
+
+def brute_force_accepted(terms):
+    """Each of the 32 configs' signed sum of the square terms, formed anew."""
+    accepted = []
+    for cfg in itertools.product((1, -1), repeat=5):
+        signs = dict(zip(connect_sum.SIGN_NAMES, cfg))
+        square = {}
+        for m, t in terms.items():
+            sign = 1
+            for name in m:
+                sign *= signs[name]
+            square = vec_add(square, vec_scale(sign, t.entries))
+        if not square:
+            accepted.append(SignConfig(*cfg))
+    return accepted
+
+
+def test_orbit_verdicts_match_every_config():
+    sizes = set()
+    for a, b in seeded_pairs(4242):
+        terms = connect_sum._assembly(a, b, Fraction(2)).square_terms()
+        accepted = connect_sum._accepted(connect_sum._orbit_verdicts(terms))
+        assert accepted == brute_force_accepted(terms)
+        sizes.add(len(accepted))
+    # one, two and four accepted orbits all occur
+    assert sizes == {8, 16, 32}
+
+
+def gauge(cfg, rep, offsets):
+    """g_t per generator: the summand signs conjugating D(rep) to D(cfg)."""
+    g = (1, cfg.s12 * rep.s12, cfg.s13 * rep.s13, cfg.s14 * rep.s14)
+    assert cfg.s24 * rep.s24 == g[1] * g[3]
+    assert cfg.s34 * rep.s34 == g[2] * g[3]
+    return [g[t] for t in range(4) for _ in range(offsets[t], offsets[t + 1])]
+
+
+def test_accepted_configs_are_gauge_conjugates_of_their_representative():
+    """D(s) = G D(rep) G entry for entry, and every accepted config has its
+    representative's rank counts, which match homology()'s bases."""
+    conjugated = 0
+    for a, b in seeded_pairs(77, per_shape=2):
+        asm = connect_sum._assembly(a, b, Fraction(2))
+        built, accepted, totals = connect_sum._search(a, b, DEFAULT_SIGNS)
+        assert accepted == sign_search(a, b)
+        reps = {}
+        for cfg in accepted:
+            reps.setdefault(connect_sum._orbit_class(cfg), cfg)
+        assert set(totals) == set(reps)
+        for cfg in accepted:
+            rep = reps[connect_sum._orbit_class(cfg)]
+            rep_total = totals[connect_sum._orbit_class(cfg)]
+            assert rep_total.differential == asm.differential(rep)
+            g = gauge(cfg, rep, asm.offsets)
+            expected = {(r, c): g[r] * g[c] * v
+                        for (r, c), v in rep_total.differential.entries.items()}
+            assert asm.differential(cfg).entries == expected
+            total = GradedComplex(asm.names, asm.degrees, asm.differential(cfg))
+            assert _rank_counts(total) == _rank_counts(rep_total)
+            assert_rank_counts_match_bases(total)
+            conjugated += cfg != rep
+    assert conjugated >= 150
+
+
+def test_search_certifies_the_reported_config_like_the_full_square():
+    for a, b in seeded_pairs(2024, per_shape=1):
+        accepted = sign_search(a, b)
+        for tup in itertools.product((1, -1), repeat=5):
+            cfg = SignConfig(*tup)
+            if cfg in accepted:
+                built = connect_sum._search(a, b, cfg)[0]
+                assert built.total == connected_sum_complex(a, b, signs=cfg).total
+                assert built.signs == cfg
+            else:
+                with pytest.raises(SignSearchError, match="does not square"):
+                    connect_sum._search(a, b, cfg)
+
+
+def test_sum_complexes_above_the_cap_are_refused_before_assembly(monkeypatch):
+    # nPplusModel:k has 2k generators, so with Pplus the sum has 10k + 2
+    built = []
+    original = connect_sum._Assembly
+    monkeypatch.setattr(connect_sum, "_Assembly",
+                        lambda *args, **kwargs: built.append(args) or original(*args, **kwargs))
+    pplus = builtin("Pplus")
+    with pytest.raises(ValueError, match="20002 generators, above the cap of 20000"):
+        connected_sum_complex(builtin("nPplusModel:2000"), pplus)
+    with pytest.raises(ValueError, match="above the cap"):
+        sign_search(pplus, builtin("nPplusModel:2000"))
+    ladder = builtin("NilpotentLadder:2")
+    # NilpotentLadder:k has 2k generators and a union 2 na nb
+    with pytest.raises(ValueError, match="20016 generators, above the cap"):
+        disjoint_union_complex(builtin("NilpotentLadder:1251"), ladder)
+    assert built == []
+    assert connected_sum_complex(builtin("nPplusModel:1999"), pplus).total.size == 19992
+    assert len(built) == 1
 
 
 def test_sign_search_builds_no_differential(monkeypatch):

@@ -283,18 +283,25 @@ def test_rank_counts_match_homology_bases():
 
 
 def test_rank_counts_take_one_rank_per_block(monkeypatch):
+    # one rank per nonempty degree block, on d's rows one degree below it;
+    # no column block is restricted
     calls = _record_eliminations(monkeypatch)
     module = importlib.import_module("floer_workbench.homology")
 
-    def counted(m, original=module.rank):
-        calls.append(("rank", m.cols))
-        return original(m)
-    monkeypatch.setattr(module, "rank", counted)
+    def counted(rows, original=module._row_rank):
+        rows = list(rows)
+        calls.append(("_row_rank", len(rows)))
+        return original(rows)
+    monkeypatch.setattr(module, "_row_rank", counted)
     model = builtin("nPplusModel:3")
     cx = connected_sum_complex(model, model).total
     _rank_counts(cx)
-    assert sorted(calls) == sorted((name, n) for n in cx.dims_by_degree().values()
-                                   for name in ("rank", "restrict_columns"))
+    d = cx.differential
+    expected = [("_row_rank", sum(1 for r in d._row_view()
+                                  if cx.degrees[r] == (deg - 1) % 8))
+                for deg in cx.dims_by_degree()]
+    assert sorted(calls) == sorted(expected)
+    assert len(calls) == 4 and sum(n for _, n in calls) > 0
 
 
 def test_package_attribute_is_the_homology_module():

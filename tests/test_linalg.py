@@ -205,18 +205,13 @@ def test_matmul_matches_fraction_reference():
 
 
 def test_rank_of_block_with_cached_integer_form():
-    """restrict_columns carries a cached integer form to the block; rank
-    reads it and agrees with the Fraction/Markowitz oracle."""
+    """A column block of a matrix whose integer form is cached: rank agrees
+    with the Fraction/Markowitz oracle on both."""
     rng = random.Random(6174)
     for m, _ in _product_cases():
         m._integer_form()
         picked = rng.sample(range(m.cols), rng.randint(0, m.cols))
         block = m.restrict_columns(picked)
-        den, rows = block._int
-        assert [(r, c) for r, line in rows.items() for c in line] == \
-            [(r, c) for r, line in block._row_view().items() for c in line]
-        assert all(Fraction(n, den) == block.entries[r, c]
-                   for r, line in rows.items() for c, n in line.items())
         assert rank(block) == markowitz_rank(block.entries)
         assert rank(m) == markowitz_rank(m.entries)
 
