@@ -14,18 +14,16 @@ import argparse
 import json
 import os
 import sys
-import warnings
 from fractions import Fraction
 
 from . import complexes, connect_sum, fixtures, invariants, lattice, polyid
-from .complexes import InvalidDataError, Kind
+from .complexes import InvalidDataError
 from .connect_sum import SignConfig, SignSearchError
 from .fixtures import FixtureError, ParseError, SemanticError
 from .homology import (DegreeMismatch, DescentObstruction, _rank_counts,
                        cycle_basis, euler_characteristic_mod2, pair,
                        reduce_to_homology)
 from .lattice import LatticeError
-from .linalg import format_rational
 
 # Where each public operation is surfaced.  One home per operation; shared
 # plumbing (validation, fixture loading) naturally also runs elsewhere.
@@ -53,8 +51,7 @@ COMMAND_TABLE = {
     "verify-sum-bound": ("connect_sum.verify_sum_bound",
                          "connect_sum.build_pair_cycle",
                          "connect_sum.build_triple_cycle",
-                         "connect_sum.triple_cycle_condition",
-                         "connect_sum.product_functional"),
+                         "connect_sum.triple_cycle_condition"),
     "poly-identities": ("polyid.verify_telescoping", "polyid.verify_triple_identity"),
     "fixtures": ("fixtures.fixture_names", "fixtures.builtin",
                  "fixtures.split_fixture_spec", "fixtures.fixture_description",
@@ -73,11 +70,9 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if value is None:
         return "none"
-    if isinstance(value, Fraction):
-        return format_rational(value)
     if isinstance(value, (list, tuple)):
         return " ".join(_fmt(v) for v in value) if value else "none"
-    return str(value)
+    return str(value)  # a Fraction prints exactly, as 'p' or 'p/q'
 
 
 # element types _json_value returns unchanged
@@ -87,8 +82,6 @@ _JSON_NATIVE = (str, int, bool, type(None))
 def _json_value(value):
     if isinstance(value, bool) or value is None or isinstance(value, int):
         return value
-    if isinstance(value, Fraction):
-        return format_rational(value)
     if isinstance(value, (list, tuple)):
         # a listed vector's coordinate texts pass through in one check
         if all(type(v) in _JSON_NATIVE for v in value):
@@ -119,8 +112,8 @@ class Report:
         self.pairs.append((key, value))
         return self
 
-    def emit(self, as_json: bool, out=None) -> None:
-        out = out or sys.stdout
+    def emit(self, as_json: bool) -> None:
+        out = sys.stdout
         if as_json:
             payload = {k: _json_value(v) for k, v in self.pairs}
             if self.document is not None:
@@ -343,10 +336,8 @@ def cmd_phi(args) -> int:
                              % (args.fixture, role))
     idx = _generator_index(data, class_name)
     start = {idx: Fraction(1)}
-    if args.mode == "minus":
-        report = invariants.phi_report(data.u, start, mode="vector")
-    else:
-        report = invariants.phi_report(data.u.transpose(), start, mode="functional")
+    u0 = data.u if args.mode == "minus" else data.u.transpose()
+    report = invariants.phi_report(u0, start)
     rep = Report("phi")
     rep.add("source", source)
     rep.add("reduced-first", reduced)
@@ -399,13 +390,9 @@ def cmd_eta(args) -> int:
     rep.add("class", args.cls)
     rep.add("blocks", w.blocks)
     rep.add("norm", lattice.norm(w))
-    # lattice.eta warns through `warnings`, whose text carries this file's
-    # path and line; report the message alone, like cmd_h's warning
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = lattice.eta(w, keep_vectors=args.list)
-    for warning in caught:
-        sys.stderr.write("warning: %s\n" % warning.message)
+    result = lattice.eta(w, keep_vectors=args.list)
+    if not result.extremal:
+        sys.stderr.write("warning: eta evaluated at a non-extremal vector\n")
     rep.add("vectors", int(result.count))
     rep.add("count", result.count)
     rep.add("all-in-class", result.all_in_class)
@@ -552,8 +539,7 @@ def cmd_fixtures(args) -> int:
                 raise UsageError("--random nilpotent needs --order K")
             data, psi = fixtures.random_nilpotent_phi(rng, args.order)
             names = data.complex.names
-            pairs = ["%s:%s" % (names[i], format_rational(psi[i]))
-                     for i in sorted(psi)]
+            pairs = ["%s:%s" % (names[i], psi[i]) for i in sorted(psi)]
             rep.add("psi", pairs)
             trailer += "# psi %s\n" % " ".join(pairs)
         return _emit_document(rep, fixtures.serialize(data) + trailer, args.json)

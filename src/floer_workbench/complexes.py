@@ -17,7 +17,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
 
 from .linalg import RatMatrix, Vector, outer
 

@@ -142,9 +142,6 @@ class ConnectSumComplex:
         return tuple(t for t in range(1, 5)
                      if self.offsets[t] > self.offsets[t - 1])
 
-    def indices_with_tag(self, tag: int) -> list:
-        return list(range(self.offsets[tag - 1], self.offsets[tag]))
-
 
 class _Assembly:
     """Generators of a sum complex and the six blocks of its differential.
@@ -521,20 +518,6 @@ def _pairing(fs, t: dict) -> Fraction:
         else:
             total += v
     return total / 2 ** (len(fs) - 1)
-
-
-def product_functional(a: FloerData, b: FloerData, fa: Vector, fb: Vector,
-                       z: dict) -> Fraction:
-    """(1/2) sum fa(x_i) fb(y_i) over a kernel element of u (x) I - I (x) u'.
-
-    The value is only meaningful where the two u placements agree, so z must
-    be annihilated by the difference map.
-    """
-    _require_reduced(a, "left")
-    _require_reduced(b, "right")
-    if _u_differences((a, b), z):
-        raise ValueError("class is not in the kernel of the u difference")
-    return _pairing((fa, fb), z)
 
 
 def build_pair_cycle(a: FloerData, b: FloerData, wa: Vector, wb: Vector,

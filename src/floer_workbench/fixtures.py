@@ -13,6 +13,9 @@ TrefoilLikeSynthetic  degrees (1, 5) with u^2 = 4 and a unit boundary
 NilpotentLadder:k     admissible two-row model whose (u^2 - 4) has exact
                       nilpotency order k on the distinguished vector z1.
 
+Each is one two-row ladder (_ladder).  Orders above ORDER_CAP are refused
+before anything is built.
+
 File format
 -----------
 Line oriented, whitespace separated, full-line # comments, six sections:
@@ -24,14 +27,19 @@ Coefficients are exact rationals 'p' or 'p/q'; floats are rejected.
 from __future__ import annotations
 
 import random
+import re
 from fractions import Fraction
 from typing import Optional, Tuple
 
 from .complexes import (DEGREE_MOD, FloerData, GradedComplex, Kind,
                         _validate_and_mark)
-from .linalg import RatMatrix, Vector, invert, rational, format_rational
+from .linalg import RatMatrix, Vector, invert, rational
 
 SECTION_NAMES = ("kind", "generators", "differential", "u", "delta", "delta_prime")
+
+# a token is a maximal run of non-whitespace; \s and str.isspace agree on
+# every code point, so the columns are str.isspace's
+_TOKEN_RE = re.compile(r"\S+")
 
 
 class FixtureError(KeyError):
@@ -67,82 +75,56 @@ def _matrix(names, mapping) -> RatMatrix:
     return RatMatrix(n, n, entries)
 
 
-def _p_plus(u_rho0=0) -> FloerData:
-    names = ("rho0", "rho4")
-    degrees = (0, 4)
-    u = _matrix(names, {"rho4": [("rho0", 2)], "rho0": [("rho4", u_rho0)]})
-    cx = GradedComplex(names, degrees, RatMatrix.zero(2, 2))
-    return FloerData(cx, u, delta={}, delta_prime={1: Fraction(1)},
-                     kind=Kind.HOMOLOGY_SPHERE)
+def _ladder(n: int, top, bottom, c, top_first: bool, **fields) -> FloerData:
+    """Two rows of n generators, zero differential, and
 
+        u(top_j) = 2 bottom_j,   u(bottom_j) = c top_j + 2 top_(j+1).
 
-def _p_minus(u_rho1=0) -> FloerData:
-    names = ("rho1", "rho5")
-    degrees = (1, 5)
-    u = _matrix(names, {"rho5": [("rho1", 2)], "rho1": [("rho5", u_rho1)]})
-    cx = GradedComplex(names, degrees, RatMatrix.zero(2, 2))
-    return FloerData(cx, u, delta={0: Fraction(1)}, delta_prime={},
-                     kind=Kind.HOMOLOGY_SPHERE)
-
-
-def _n_p_plus_model(n: int) -> FloerData:
-    if n < 1:
-        raise FixtureError("nPplusModel needs order >= 1")
-    names = tuple("x0_%d" % j for j in range(1, n + 1)) + \
-        tuple("x4_%d" % j for j in range(1, n + 1))
-    degrees = (0,) * n + (4,) * n
-    mapping = {}
-    for j in range(1, n + 1):
-        mapping["x4_%d" % j] = [("x0_%d" % j, 2)]
-        images = [("x4_%d" % j, 2)]
-        if j < n:
-            images.append(("x4_%d" % (j + 1), 2))
-        mapping["x0_%d" % j] = images
-    u = _matrix(names, mapping)
+    top and bottom are (name template, degree); generator j of a row is
+    named template.format(j), j = 1..n.  The top row is listed first when
+    top_first.  u's entries go in top_j's before bottom_j's, j ascending.
+    """
+    rows = (top, bottom) if top_first else (bottom, top)
+    names = tuple(fmt.format(j) for fmt, _ in rows for j in range(1, n + 1))
+    degrees = tuple(degree for _, degree in rows for _ in range(n))
+    t, b = (0, n) if top_first else (n, 0)
+    entries = {}
+    for j in range(n):
+        entries[(b + j, t + j)] = 2
+        entries[(t + j, b + j)] = c
+        if j + 1 < n:
+            entries[(t + j + 1, b + j)] = 2
     cx = GradedComplex(names, degrees, RatMatrix.zero(2 * n, 2 * n))
-    return FloerData(cx, u, delta={}, delta_prime={n: Fraction(1)},
-                     kind=Kind.HOMOLOGY_SPHERE)
+    return FloerData(cx, RatMatrix(2 * n, 2 * n, entries), **fields)
 
 
-def _trefoil_like() -> FloerData:
-    names = ("y1", "y5")
-    degrees = (1, 5)
-    u = _matrix(names, {"y1": [("y5", 2)], "y5": [("y1", 2)]})
-    cx = GradedComplex(names, degrees, RatMatrix.zero(2, 2))
-    return FloerData(cx, u, delta={0: Fraction(1)}, delta_prime={},
-                     kind=Kind.HOMOLOGY_SPHERE)
+# refused before anything is built: at the cap a ladder has 20000
+# generators, connect_sum.SUM_GENERATOR_CAP
+ORDER_CAP = 10000
 
-
-def _nilpotent_ladder(k: int) -> FloerData:
-    if k < 1:
-        raise FixtureError("NilpotentLadder needs order >= 1")
-    names = tuple("z%d" % j for j in range(1, k + 1)) + \
-        tuple("w%d" % j for j in range(1, k + 1))
-    degrees = (1,) * k + (5,) * k
-    mapping = {}
-    for j in range(1, k + 1):
-        mapping["z%d" % j] = [("w%d" % j, 2)]
-        images = [("z%d" % j, 2)]
-        if j < k:
-            images.append(("z%d" % (j + 1), 2))
-        mapping["w%d" % j] = images
-    u = _matrix(names, mapping)
-    cx = GradedComplex(names, degrees, RatMatrix.zero(2 * k, 2 * k))
-    return FloerData(cx, u, kind=Kind.ADMISSIBLE)
-
-
+# name -> (takes an order, description, distinguished generators,
+#          builder(order, u_param)); the order of an orderless fixture is 1
 _BUILTINS = {
-    "Pplus": (_p_plus, False, "P+ model data, parameter u(rho0)",
-              {"vector": "rho4", "functional": None}),
-    "Pminus": (_p_minus, False, "P- model data, parameter u(rho1)",
-               {"vector": None, "functional": "rho1"}),
-    "nPplusModel": (_n_p_plus_model, True, "n-fold P+ ladder model, h = -n",
-                    {"vector": "x4_1", "functional": None}),
-    "TrefoilLikeSynthetic": (_trefoil_like, False, "u^2 = 4, phi = 1 model",
-                             {"vector": "y1", "functional": "y1"}),
-    "NilpotentLadder": (_nilpotent_ladder, True,
-                        "admissible ladder, (u^2-4)^k z1 = 0 exactly at k",
-                        {"vector": "z1", "functional": "LAST_Z"}),
+    "Pplus": (False, "P+ model data, parameter u(rho0)",
+              {"vector": "rho4", "functional": None},
+              lambda n, c: _ladder(n, ("rho4", 4), ("rho0", 0), c, top_first=False,
+                                   delta_prime={1: 1})),
+    "Pminus": (False, "P- model data, parameter u(rho1)",
+               {"vector": None, "functional": "rho1"},
+               lambda n, c: _ladder(n, ("rho5", 5), ("rho1", 1), c, top_first=False,
+                                    delta={0: 1})),
+    "nPplusModel": (True, "n-fold P+ ladder model, h = -n",
+                    {"vector": "x4_1", "functional": None},
+                    lambda n, c: _ladder(n, ("x4_{}", 4), ("x0_{}", 0), 2, top_first=False,
+                                         delta_prime={n: 1})),
+    "TrefoilLikeSynthetic": (False, "u^2 = 4, phi = 1 model",
+                             {"vector": "y1", "functional": "y1"},
+                             lambda n, c: _ladder(n, ("y1", 1), ("y5", 5), 2, top_first=True,
+                                                  delta={0: 1})),
+    "NilpotentLadder": (True, "admissible ladder, (u^2-4)^k z1 = 0 exactly at k",
+                        {"vector": "z1", "functional": "LAST_Z"},
+                        lambda n, c: _ladder(n, ("z{}", 1), ("w{}", 5), 2, top_first=True,
+                                             kind=Kind.ADMISSIBLE)),
 }
 
 
@@ -165,25 +147,28 @@ def builtin(spec: str, u_param=0) -> FloerData:
     """Build a builtin fixture from 'Name' or 'Name:k'.
 
     u_param feeds the unconstrained u entry of Pplus / Pminus and is ignored
-    by the other fixtures.
+    by the other fixtures.  An order above ORDER_CAP is refused with
+    ValueError before anything is built.
     """
     name, order = split_fixture_spec(spec)
     if name not in _BUILTINS:
         raise FixtureError("unknown fixture %r (have: %s)" % (name, ", ".join(fixture_names())))
-    builder, takes_order, _, _ = _BUILTINS[name]
-    if takes_order:
-        if order is None:
-            raise FixtureError("%s needs an order, e.g. %s:2" % (name, name))
-        return builder(order)
-    if order is not None:
-        raise FixtureError("%s takes no order parameter" % (name,))
-    if name in ("Pplus", "Pminus"):
-        return builder(u_param)
-    return builder()
+    takes_order, _, _, build = _BUILTINS[name]
+    if not takes_order:
+        if order is not None:
+            raise FixtureError("%s takes no order parameter" % (name,))
+        return build(1, u_param)
+    if order is None:
+        raise FixtureError("%s needs an order, e.g. %s:2" % (name, name))
+    if order < 1:
+        raise FixtureError("%s needs order >= 1" % (name,))
+    if order > ORDER_CAP:
+        raise ValueError("%s has order %d, above the cap of %d" % (spec, order, ORDER_CAP))
+    return build(order, u_param)
 
 
 def fixture_description(name: str) -> str:
-    return _BUILTINS[name][2]
+    return _BUILTINS[name][1]
 
 
 def distinguished_generators(spec: str) -> dict:
@@ -191,7 +176,7 @@ def distinguished_generators(spec: str) -> dict:
     name, order = split_fixture_spec(spec)
     if name not in _BUILTINS:
         raise FixtureError("unknown fixture %r" % (name,))
-    info = dict(_BUILTINS[name][3])
+    info = dict(_BUILTINS[name][2])
     if info.get("functional") == "LAST_Z":
         info["functional"] = "z%d" % (order or 1)
     return info
@@ -319,18 +304,15 @@ def _nonzero(rng: random.Random, lo=-3, hi=3) -> Fraction:
     return Fraction(val)
 
 
-def random_homology_sphere(rng: random.Random, conjugate: bool = True,
-                           with_slots: bool = False):
+def random_homology_sphere(rng: random.Random) -> FloerData:
     """Homology-sphere data with nonzero d, u, delta, and delta_prime.
 
     The chain relation fixes several u entries in terms of the free choices;
-    everything else is sampled.  With with_slots=True also returns a list of
-    single entries whose unit perturbation must break validation, used by the
-    perturbation tests (only meaningful without conjugation).
+    everything else is sampled, and a final degree-preserving unimodular
+    conjugation hides the structure.
     """
     names = ("x0", "x4", "y1", "y0", "s2", "s1", "w6", "w5")
     degrees = (0, 4, 1, 0, 2, 1, 6, 5)
-    idx = {name: i for i, name in enumerate(names)}
 
     p1 = _nonzero(rng)   # d y1 = p1 y0
     p2 = _nonzero(rng)   # d s2 = p2 s1
@@ -366,25 +348,11 @@ def random_homology_sphere(rng: random.Random, conjugate: bool = True,
     data = FloerData(
         complex=GradedComplex(names, degrees, diff),
         u=u,
-        delta={idx["y1"]: c},
-        delta_prime={idx["x4"]: e},
+        delta={2: c},           # y1
+        delta_prime={1: e},     # x4
         kind=Kind.HOMOLOGY_SPHERE,
     )
-    if conjugate:
-        data = _conjugate(data, _degree_preserving_change(rng, degrees))
-    if not with_slots:
-        return data
-    slots = [
-        ("differential", idx["y0"], idx["y1"]),
-        ("differential", idx["s1"], idx["s2"]),
-        ("differential", idx["w5"], idx["w6"]),
-        ("differential", idx["x0"], idx["x4"]),  # degree-illegal slot
-        ("u", idx["x4"], idx["y0"]),
-        ("u", idx["w5"], idx["s1"]),
-        ("delta", idx["y1"], None),
-        ("delta_prime", idx["x4"], None),
-    ]
-    return data, slots
+    return _conjugate(data, _degree_preserving_change(rng, degrees))
 
 
 def random_valid(rng: random.Random, max_gens: int = 8) -> FloerData:
@@ -443,8 +411,7 @@ def serialize(data: FloerData) -> str:
     def matrix_lines(m: RatMatrix) -> list:
         out = []
         for (r, c) in sorted(m.entries, key=lambda k: (k[1], k[0])):
-            out.append("  %s %s %s" % (cx.names[c], cx.names[r],
-                                       format_rational(m.entries[(r, c)])))
+            out.append("  %s %s %s" % (cx.names[c], cx.names[r], m.entries[(r, c)]))
         return out
 
     lines.append("differential")
@@ -453,25 +420,17 @@ def serialize(data: FloerData) -> str:
     lines.extend(matrix_lines(data.u))
     lines.append("delta")
     for i in sorted(data.delta):
-        lines.append("  %s %s" % (cx.names[i], format_rational(data.delta[i])))
+        lines.append("  %s %s" % (cx.names[i], data.delta[i]))
     lines.append("delta_prime")
     for i in sorted(data.delta_prime):
-        lines.append("  %s %s" % (cx.names[i], format_rational(data.delta_prime[i])))
+        lines.append("  %s %s" % (cx.names[i], data.delta_prime[i]))
     return "\n".join(lines) + "\n"
 
 
 def _tokenize(line: str):
     """Yield (token, 1-based column) pairs."""
-    col = 0
-    n = len(line)
-    while col < n:
-        if line[col].isspace():
-            col += 1
-            continue
-        start = col
-        while col < n and not line[col].isspace():
-            col += 1
-        yield line[start:col], start + 1
+    for m in _TOKEN_RE.finditer(line):
+        yield m.group(), m.start() + 1
 
 
 def _parse_rational_token(token: str, lineno: int, column: int) -> Fraction:

@@ -55,10 +55,6 @@ class GradedVectorSpace:
     cycles: dict
     boundaries: dict
 
-    @property
-    def total_dim(self) -> int:
-        return sum(self.dims.values())
-
     def nonzero_dims(self) -> dict:
         return {r: n for r, n in sorted(self.dims.items()) if n}
 

@@ -77,7 +77,6 @@ def phi_filtration(u0: RatMatrix, psi: Vector) -> int:
 
 @dataclass
 class PhiReport:
-    mode: str                       # "vector" or "functional"
     span_dim: int
     nilpotent_on_cycle: bool
     filtration_order: Optional[int]  # None when the gate fails
@@ -88,18 +87,18 @@ class PhiReport:
         return self.span_dim
 
 
-def phi_report(u0: RatMatrix, psi: Vector, mode: str = "vector") -> PhiReport:
+def phi_report(u0: RatMatrix, psi: Vector) -> PhiReport:
     """Both phi readings plus the nilpotency gate, in one report.
 
-    For the functional reading pass mode="functional" with u0 already
-    transposed and psi the functional written as a vector.
+    For the functional reading pass u0 transposed and the functional
+    written as a vector in place of psi.
     """
     span = phi_span(u0, psi)
     try:
         order = phi_filtration(u0, psi)
     except NotNilpotent:
-        return PhiReport(mode, span, False, None, None)
-    return PhiReport(mode, span, True, order, span == order)
+        return PhiReport(span, False, None, None)
+    return PhiReport(span, True, order, span == order)
 
 
 @dataclass

@@ -39,7 +39,6 @@ before any member search.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -112,12 +111,8 @@ def zero(blocks: int) -> LatticeVector:
 
 
 def concat(*vectors: LatticeVector) -> LatticeVector:
-    doubled = ()
-    blocks = 0
-    for v in vectors:
-        doubled += v.doubled
-        blocks += v.blocks
-    return LatticeVector(blocks, doubled)
+    return LatticeVector(sum(v.blocks for v in vectors),
+                         tuple(c for v in vectors for c in v.doubled))
 
 
 W0 = from_coords((1, 1, 1, 1, 0, 0, 0, 0))
@@ -376,6 +371,7 @@ class EtaResult:
     vectors: tuple
     count: Fraction
     all_in_class: bool
+    extremal: bool
 
 
 def eta(w: LatticeVector, keep_vectors: bool = True) -> EtaResult:
@@ -385,6 +381,8 @@ def eta(w: LatticeVector, keep_vectors: bool = True) -> EtaResult:
     is read off the convolution of the per-block member series (see the
     module docstring), and all_in_class checks every block member against
     its block of w with same_class; neither builds a full-length vector.
+    extremal tells whether w is extremal in its class; a count at a
+    non-extremal w is still returned, and the CLI warns on stderr.
     keep_vectors (the default) adds the vectors themselves, combined from
     the same block members and sorted as congruent_vectors sorts them.
     Listing is refused with LatticeError, before any vector is built, for
@@ -396,14 +394,11 @@ def eta(w: LatticeVector, keep_vectors: bool = True) -> EtaResult:
     refused with LatticeError before any member search, so classes such
     as 5,5,0,0,0,0,0,0 fail at once instead of running for seconds or
     not finishing; the CLI exits 1 with the reason.  The search runs in
-    one thread;
-    the CLI's `eta --workers` is accepted and ignored and reaches no
-    parameter here.
+    one thread; the CLI's `eta --workers` is accepted and ignored and
+    reaches no parameter here.
     """
     require_member(w)
     target, per_block = _class_groups(w)
-    if sum(min(groups) for groups in per_block) != target:
-        warnings.warn("eta evaluated at a non-extremal vector", stacklevel=2)
     count = _series_coefficient(target, per_block)
     vectors = ()
     if keep_vectors:
@@ -413,7 +408,8 @@ def eta(w: LatticeVector, keep_vectors: bool = True) -> EtaResult:
         vectors = tuple(_combine(w, target, per_block))
         assert len(vectors) == count
     return EtaResult(vectors=vectors, count=Fraction(count),
-                     all_in_class=_members_in_class(w, per_block))
+                     all_in_class=_members_in_class(w, per_block),
+                     extremal=sum(min(groups) for groups in per_block) == target)
 
 
 def min_charge_k(w: LatticeVector) -> int:

@@ -61,11 +61,6 @@ def rational(value) -> Fraction:
     raise TypeError("cannot coerce %r to a rational" % (value,))
 
 
-def format_rational(value: Fraction) -> str:
-    """Render 'p' or 'p/q'; Fraction.__str__ already does exactly that."""
-    return str(Fraction(value))
-
-
 def vector(entries: Mapping) -> Vector:
     """Normalize a mapping to a sparse vector, dropping zeros."""
     out = {}
@@ -161,19 +156,6 @@ class RatMatrix:
     def identity(cls, n: int) -> "RatMatrix":
         return cls(n, n, {(i, i): Fraction(1) for i in range(n)})
 
-    @classmethod
-    def from_rows(cls, dense: Iterable[Iterable]) -> "RatMatrix":
-        dense = [list(row) for row in dense]
-        rows = len(dense)
-        cols = len(dense[0]) if rows else 0
-        entries = {}
-        for r, row in enumerate(dense):
-            if len(row) != cols:
-                raise ValueError("ragged rows")
-            for c, val in enumerate(row):
-                entries[(r, c)] = rational(val)
-        return cls(rows, cols, entries)
-
     def __getitem__(self, key) -> Fraction:
         return self.entries.get(key, Fraction(0))
 
@@ -184,9 +166,6 @@ class RatMatrix:
             and self.cols == other.cols
             and self.entries == other.entries
         )
-
-    def __hash__(self):
-        raise TypeError("RatMatrix is not hashable")
 
     def is_zero(self) -> bool:
         return not self.entries
@@ -298,9 +277,6 @@ class RatMatrix:
             for r, v in view.get(c, {}).items():
                 entries[(r, local)] = v
         return RatMatrix._trusted(self.rows, len(cols), entries)
-
-    def to_dense(self) -> list:
-        return [[self.entries.get((r, c), Fraction(0)) for c in range(self.cols)] for r in range(self.rows)]
 
     def __repr__(self):
         return "RatMatrix(%d, %d, %d nonzero)" % (self.rows, self.cols, len(self.entries))

@@ -10,7 +10,6 @@ and verify_telescoping reports the status of both versions side by side.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .linalg import rational
 
@@ -45,9 +44,6 @@ class Poly:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Poly) and self.terms == other.terms
-
-    def __hash__(self):
-        raise TypeError("Poly is not hashable")
 
     def is_zero(self) -> bool:
         return not self.terms

@@ -65,6 +65,36 @@ def test_table_names_resolve_to_callables():
             assert callable(getattr(module, funcname))
 
 
+def _bench_layers():
+    """bench/layers.py as it stands; it imports bench/spans.py beside it."""
+    bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
+    sys.path.insert(0, bench)
+    try:
+        return importlib.import_module("layers")
+    finally:
+        sys.path.remove(bench)
+
+
+def test_benchmark_layer_names_are_public_operations():
+    """Every span and counter the benchmark's layer metrics read, other than
+    the counters derived from results and argparse's parse_args, names a
+    public function or method of the package, so deleting one fails here
+    and not only in the benchmark's self-check."""
+    layers = _bench_layers()
+    names = {n for table in (layers.SELF_MS, layers.COUNTS)
+             for group in table.values() for n in group}
+    names |= {n for num, den, _ in layers.RATIOS.values() for n in (num, den)}
+    names -= layers.DERIVED_COUNTERS | {"cli.parse_args"}
+    assert len(names) > 40
+    for dotted in sorted(names):
+        modname, *path = dotted.split(".")
+        obj = importlib.import_module("floer_workbench." + modname)
+        for part in path:
+            assert not part.startswith("_") or part.endswith("__"), dotted
+            obj = getattr(obj, part, None)
+        assert callable(obj) and obj.__module__ == "floer_workbench." + modname, dotted
+
+
 # ---------------------------------------------------------------------------
 # exit codes
 
@@ -367,6 +397,16 @@ def test_connect_sum_refuses_a_sum_above_the_cap(capsys):
                          "--b", "Pplus", "--search")
     assert (code, out) == (1, "")
     assert err == "error: the sum complex would have 20002 generators, above the cap of 20000\n"
+
+
+def test_fixture_order_above_the_cap_exits_one_before_building(capsys, monkeypatch):
+    monkeypatch.setattr(fixtures, "_ladder", lambda *args, **kw: pytest.fail("built"))
+    for argv in (["connect-sum", "--a", "nPplusModel:99999", "--b", "Pplus"],
+                 ["fixtures", "--emit", "NilpotentLadder:%d" % (fixtures.ORDER_CAP + 1)]):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: ")
+        assert err.endswith("above the cap of %d\n" % fixtures.ORDER_CAP)
 
 
 def test_signs_starting_with_minus_need_the_equals_form(capsys):

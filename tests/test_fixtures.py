@@ -1,9 +1,12 @@
+import hashlib
 import random
 
 import pytest
 
+from floer_workbench import fixtures
 from floer_workbench.complexes import Kind, validate
 from floer_workbench.fixtures import (
+    ORDER_CAP,
     FixtureError,
     ParseError,
     SemanticError,
@@ -52,6 +55,17 @@ def test_builtin_errors():
         builtin("NilpotentLadder:0")
 
 
+def test_orders_above_the_cap_are_refused_before_building(monkeypatch):
+    assert ORDER_CAP >= 2000
+    built = []
+    monkeypatch.setattr(fixtures, "_ladder", lambda n, *rows, **fields: built.append(n))
+    for name in ("nPplusModel", "NilpotentLadder"):
+        with pytest.raises(ValueError, match="above the cap of %d" % ORDER_CAP):
+            builtin("%s:%d" % (name, ORDER_CAP + 1))
+        builtin("%s:%d" % (name, ORDER_CAP))
+    assert built == [ORDER_CAP, ORDER_CAP]
+
+
 def test_every_builtin_validates():
     for spec in ALL_SPECS:
         for u_param in (0, 1, 2):
@@ -59,6 +73,24 @@ def test_every_builtin_validates():
             report = validate(data)
             assert report.ok, "%s u_param=%d: %s" % (spec, u_param, report)
 
+
+# sha256 over every builtin's document and its u entries' insertion order,
+# at orders 1-4 and u-params 0-2; pinned before the five builtins shared
+# one ladder builder
+BUILTIN_DIGEST = "79bf667565153697a08d2e8dc608e40377512688fc00ebef2096fd0d4e9a32fd"
+
+
+def test_builtin_documents_and_entry_order_are_pinned():
+    specs = ["Pplus", "Pminus", "TrefoilLikeSynthetic"] + [
+        "%s:%d" % (name, k) for name in ("nPplusModel", "NilpotentLadder")
+        for k in range(1, 5)]
+    digest = hashlib.sha256()
+    for spec in specs:
+        for u_param in (0, 1, 2):
+            data = builtin(spec, u_param=u_param)
+            digest.update(serialize(data).encode())
+            digest.update(repr(list(data.u.entries)).encode())
+    assert digest.hexdigest() == BUILTIN_DIGEST
 
 def test_distinguished_generators_resolve():
     for spec in ALL_SPECS:

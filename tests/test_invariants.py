@@ -42,7 +42,6 @@ def test_phi_report_carries_agreement():
     rng = random.Random(9)
     data, psi = random_nilpotent_phi(rng, 3)
     report = phi_report(data.u, psi)
-    assert report.mode == "vector"
     assert report.nilpotent_on_cycle
     assert report.agree is True
     assert report.span_dim == report.filtration_order == report.phi
@@ -69,10 +68,9 @@ def test_phi_functional_mode_matches_vector_mode_on_dual():
     for _ in range(20):
         data, psi = random_nilpotent_phi(rng, 2)
         vec_phi = phi_report(data.u, psi).phi
-        func_phi = phi_report(data.u.transpose(), psi, mode="functional").phi
+        func_phi = phi_report(data.u.transpose(), psi).phi
         dual_u = dualize(data).u
-        assert func_phi == phi_report(dual_u.scale(-1), psi,
-                                      mode="functional").phi
+        assert func_phi == phi_report(dual_u.scale(-1), psi).phi
         assert vec_phi >= 1
         assert func_phi >= 1
 

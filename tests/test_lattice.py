@@ -1,7 +1,6 @@
 import itertools
 import math
 import random
-import warnings
 from fractions import Fraction
 
 import pytest
@@ -91,6 +90,9 @@ def test_parse_vector_round_trips():
     assert parse_vector("zero") == zero(1)
     assert parse_vector("zero^3") == zero(3)
     assert parse_vector("w0^3") == concat(W0, W0, W0)
+    assert parse_vector("w0^2048") == LatticeVector(2048, W0.doubled * 2048)
+    assert concat(W0, ROOT, HALF_SUM) == LatticeVector(3, W0.doubled + ROOT.doubled
+                                                       + HALF_SUM.doubled)
     coords = "1,1,1,1,0,0,0,0"
     assert parse_vector(coords) == W0
     halves = ",".join(["1/2"] * 8)
@@ -156,13 +158,12 @@ def test_eta_two_block_product_structure():
         assert same_class(v, w)
 
 
-def test_eta_warns_on_non_extremal():
+def test_eta_flags_non_extremal():
     shifted = from_coords((3, 3, 1, 1, 0, 0, 0, 0))
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        result = eta(shifted)
-    assert any("extremal" in str(w.message) for w in caught)
+    result = eta(shifted)
+    assert result.extremal is False
     assert result.count >= 1
+    assert eta(W0).extremal is True
 
 
 def test_eta_worker_independence(monkeypatch):
@@ -368,17 +369,13 @@ def test_convolved_count_matches_enumeration_on_mixed_classes():
     assert sum(not is_extremal(w) for w in classes) >= 10
     for w in classes:
         require_member(w)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            result = eta(w, keep_vectors=False)
+        result = eta(w, keep_vectors=False)
         assert result.vectors == ()
         assert result.all_in_class
         enumerated = congruent_vectors(w)
         assert result.count == len(enumerated), w
         if len(enumerated) <= LIST_CAP:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                assert eta(w).vectors == tuple(enumerated), w
+            assert eta(w).vectors == tuple(enumerated), w
 
 
 def test_eta_count_builds_one_block_vectors_only(monkeypatch):
@@ -429,9 +426,7 @@ def test_eta_refuses_to_list_above_cap(monkeypatch):
 
 def test_listed_vectors_equal_publicly_built_ones():
     for w in (concat(W0, W0), concat(ROOT, HALF_SUM, W0), seeded_mixed_classes()[0]):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            vectors = eta(w).vectors
+        vectors = eta(w).vectors
         public = [LatticeVector(v.blocks, tuple(v.doubled)) for v in vectors]
         assert list(vectors) == public
         assert [hash(v) for v in vectors] == [hash(v) for v in public]
@@ -465,9 +460,7 @@ def test_repeated_blocks_are_searched_once(monkeypatch):
 def test_member_search_above_cap_is_refused_before_searching(monkeypatch):
     # 4,4,0,...: the class of zero searched up to doubled norm 128, the cap
     largest = from_coords((4, 4, 0, 0, 0, 0, 0, 0))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        assert eta(largest, keep_vectors=False).count == 17520
+    assert eta(largest, keep_vectors=False).count == 17520
     search = lattice._block_class_members
 
     def capped(wb, budget_q):

@@ -7,7 +7,6 @@ from floer_workbench.linalg import (
     LinearSolver,
     RatMatrix,
     dot,
-    format_rational,
     image_basis,
     invert,
     kernel_basis,
@@ -25,7 +24,13 @@ from markowitz import markowitz_rank
 
 
 def dense(rows):
-    return RatMatrix.from_rows(rows)
+    """The matrix with these rows of entries."""
+    return RatMatrix(len(rows), len(rows[0]),
+                     {(r, c): v for r, row in enumerate(rows) for c, v in enumerate(row)})
+
+
+def to_dense(m):
+    return [[m[r, c] for c in range(m.cols)] for r in range(m.rows)]
 
 
 def test_rational_conversion():
@@ -34,12 +39,6 @@ def test_rational_conversion():
     assert rational(Fraction(1, 7)) == Fraction(1, 7)
     with pytest.raises(TypeError):
         rational(0.5)
-
-
-def test_format_rational_exact():
-    assert format_rational(Fraction(1, 2)) == "1/2"
-    assert format_rational(Fraction(-3)) == "-3"
-    assert format_rational(Fraction(0)) == "0"
 
 
 def test_vector_drops_zeros():
@@ -276,7 +275,7 @@ def test_cached_line_views_match_dense():
         m = RatMatrix(rows, cols, {(i, j): Fraction(rng.randint(-4, 4), rng.randint(1, 3))
                                    for i in range(rows) for j in range(cols)
                                    if rng.random() < 0.5})
-        d = m.to_dense()
+        d = to_dense(m)
         v = {j: Fraction(rng.randint(-3, 3)) for j in range(cols) if rng.random() < 0.6}
         f = {i: Fraction(rng.randint(-3, 3)) for i in range(rows) if rng.random() < 0.6}
         for _ in range(2):  # the second pass reads the cached views
@@ -289,7 +288,7 @@ def test_cached_line_views_match_dense():
                                                     for j in range(cols)})
             picked = rng.sample(range(cols), rng.randint(0, cols))
             sub = m.restrict_columns(picked)
-            assert sub.to_dense() == [[row[j] for j in picked] for row in d]
+            assert to_dense(sub) == [[row[j] for j in picked] for row in d]
         if cols:
             m.column(0).clear()  # callers get copies, never the cached view
             assert m.column(0) == {i: d[i][0] for i in range(rows) if d[i][0]}
