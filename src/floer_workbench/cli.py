@@ -180,7 +180,7 @@ def _parse_signs(text: str) -> SignConfig:
     if len(parts) != 5:
         raise UsageError("--signs takes five comma-separated values, e.g. 1,1,1,1,-1")
     try:
-        return SignConfig(*(int(p) for p in parts))
+        return SignConfig(*[int(p) for p in parts])
     except ValueError as exc:
         raise UsageError("bad --signs: %s" % exc) from None
 
@@ -485,6 +485,9 @@ def cmd_verify_sum_bound(args) -> int:
 
 
 def cmd_poly_identities(args) -> int:
+    if args.max_n > polyid.MAX_N_CAP:
+        raise ValueError("--max-n %d is above the cap of %d"
+                         % (args.max_n, polyid.MAX_N_CAP))
     rep = Report("poly-identities")
     rep.add("max-n", args.max_n)
     all_ok = True
@@ -661,7 +664,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--functional-r", dest="functional_c", help="right functional generator")
 
     p = sub.add_parser("poly-identities", help="telescoping and triple identities")
-    p.add_argument("--max-n", type=_positive_int, default=5)
+    p.add_argument("--max-n", type=_positive_int, default=5,
+                   help="check n = 1..N, N at most %d (default 5)" % polyid.MAX_N_CAP)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("fixtures", help="list, emit, or generate fixture documents")

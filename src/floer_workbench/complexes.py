@@ -46,7 +46,7 @@ class GradedComplex:
 
     def __post_init__(self):
         object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "degrees", tuple(int(d) for d in self.degrees))
+        object.__setattr__(self, "degrees", tuple([int(d) for d in self.degrees]))
         n = len(self.names)
         if len(self.degrees) != n:
             raise ValueError("names and degrees disagree in length")
@@ -249,7 +249,7 @@ def dualize(data: FloerData) -> FloerData:
     other.
     """
     cx = data.complex
-    degrees = tuple((DUAL_DEGREE_SUM - d) % DEGREE_MOD for d in cx.degrees)
+    degrees = tuple([(DUAL_DEGREE_SUM - d) % DEGREE_MOD for d in cx.degrees])
     dual_cx = GradedComplex(cx.names, degrees, cx.differential.transpose())
     return FloerData(
         complex=dual_cx,
@@ -280,7 +280,7 @@ def structurally_equal(a: FloerData, b: FloerData) -> bool:
         def remap_vec(v: Vector) -> Vector:
             return {pos[i]: val for i, val in v.items()}
 
-        degrees = tuple(d.complex.degrees[i] for i in order)
+        degrees = tuple([d.complex.degrees[i] for i in order])
         return (degrees, remap_matrix(d.complex.differential).entries,
                 remap_matrix(d.u).entries, remap_vec(d.delta), remap_vec(d.delta_prime))
 

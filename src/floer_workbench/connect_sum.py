@@ -120,7 +120,7 @@ class SignConfig:
 DEFAULT_SIGNS = SignConfig()
 
 # the family in sign_search's order: lexicographic, +1 before -1
-_FAMILY = tuple(SignConfig(*bits) for bits in itertools.product((1, -1), repeat=5))
+_FAMILY = tuple([SignConfig(*bits) for bits in itertools.product((1, -1), repeat=5)])
 
 
 def _orbit_class(signs: SignConfig) -> tuple:
@@ -139,8 +139,8 @@ class ConnectSumComplex:
     @property
     def shape(self) -> tuple:
         """Tags of the nonempty summands, e.g. (1, 4) or (1, 2, 3, 4)."""
-        return tuple(t for t in range(1, 5)
-                     if self.offsets[t] > self.offsets[t - 1])
+        return tuple([t for t in range(1, 5)
+                      if self.offsets[t] > self.offsets[t - 1]])
 
 
 class _Assembly:
@@ -680,7 +680,7 @@ def verify_sum_bound(a: FloerData, b: FloerData, c: Optional[FloerData] = None,
 
     prepared = [_prepare_factor(data, f, n, label, known)
                 for (data, f, label), known in zip(factors, nilpotency)]
-    orders = tuple(k for _, _, k in prepared)
+    orders = tuple([k for _, _, k in prepared])
     level = sum(orders) - (m - 1) * n - 1
     if level < 0:
         raise ValueError(
@@ -702,8 +702,8 @@ def verify_sum_bound(a: FloerData, b: FloerData, c: Optional[FloerData] = None,
     pairing = _pairing([f for f, _, _ in prepared], shifted)
 
     witnesses[0] = _orbit(a.u, witnesses[0], 2 * (m - 2))[-1]
-    witness_values = tuple(dot(f, _orbit(n_op, w, k - 1)[-1])
-                           for (f, n_op, k), w in zip(prepared, witnesses))
+    witness_values = tuple([dot(f, _orbit(n_op, w, k - 1)[-1])
+                            for (f, n_op, k), w in zip(prepared, witnesses)])
     expected = Fraction(math.prod(witness_values), 2 ** (m - 1))
     return SumBoundReport(mode=mode, n=n, orders=orders, level=level,
                           cycle_ok=cycle_ok, pairing=pairing,

@@ -85,8 +85,8 @@ def _ladder(n: int, top, bottom, c, top_first: bool, **fields) -> FloerData:
     top_first.  u's entries go in top_j's before bottom_j's, j ascending.
     """
     rows = (top, bottom) if top_first else (bottom, top)
-    names = tuple(fmt.format(j) for fmt, _ in rows for j in range(1, n + 1))
-    degrees = tuple(degree for _, degree in rows for _ in range(n))
+    names = tuple([fmt.format(j) for fmt, _ in rows for j in range(1, n + 1)])
+    degrees = tuple([degree for _, degree in rows for _ in range(n)])
     t, b = (0, n) if top_first else (n, 0)
     entries = {}
     for j in range(n):
@@ -379,8 +379,8 @@ def random_nilpotent_phi(rng: random.Random, order: int):
     b = _random_unimodular(rng, m)
     a = core @ invert(b)
 
-    names = tuple("z%d" % i for i in range(1, m + 1)) + \
-        tuple("w%d" % i for i in range(1, m + 1))
+    names = tuple(["z%d" % i for i in range(1, m + 1)]) + \
+        tuple(["w%d" % i for i in range(1, m + 1)])
     degrees = (1,) * m + (5,) * m
     entries = {}
     for (r, cc), v in b.entries.items():

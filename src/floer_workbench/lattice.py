@@ -112,7 +112,7 @@ def zero(blocks: int) -> LatticeVector:
 
 def concat(*vectors: LatticeVector) -> LatticeVector:
     return LatticeVector(sum(v.blocks for v in vectors),
-                         tuple(c for v in vectors for c in v.doubled))
+                         tuple([c for v in vectors for c in v.doubled]))
 
 
 W0 = from_coords((1, 1, 1, 1, 0, 0, 0, 0))

@@ -236,7 +236,7 @@ class RatMatrix:
         den is the lcm of the entries' denominators.  Built once.
         """
         if self._int is None:
-            den = lcm(*(v.denominator for v in self.entries.values()))
+            den = lcm(*[v.denominator for v in self.entries.values()])
             ints = {key: v.numerator * (den // v.denominator)
                     for key, v in self.entries.items()}
             object.__setattr__(self, "_int", (den, _group_lines(ints, 0)))
@@ -370,7 +370,7 @@ def _eliminate(row: dict, other: dict, pivot: int) -> None:
 
 def _integer_row(raw: Vector) -> tuple:
     """(den, den * raw) with den the lcm of the denominators of raw."""
-    den = lcm(*(v.denominator for v in raw.values()))
+    den = lcm(*[v.denominator for v in raw.values()])
     return den, {idx: v.numerator * (den // v.denominator) for idx, v in raw.items() if v}
 
 

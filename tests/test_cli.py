@@ -9,7 +9,7 @@ from fractions import Fraction
 
 import pytest
 
-from floer_workbench import cli, connect_sum, fixtures, lattice
+from floer_workbench import cli, connect_sum, fixtures, lattice, polyid
 from floer_workbench.linalg import RatMatrix
 
 
@@ -147,6 +147,41 @@ def test_poly_identities_rejects_max_n_below_one(capsys, max_n):
     assert code == 2
     assert out == ""
     assert "--max-n" in err
+
+
+# sha256 of stdout as printed while the identities were expanded over
+# Fraction coefficients, with each power rebuilt by repeated products
+@pytest.mark.parametrize("argv, digest", [
+    ((), "f705d405a048a3f34e68afc81af85271c5af28a568f1145c310cb8412b1b4c2c"),
+    (("--max-n", "7"),
+     "d8d7d87fc60f6c52ca4a907b4ecbc28abd1554178d8acb800c62b8fa48923d3a"),
+    (("--max-n", "5", "--json"),
+     "77cf90210bf183b2bf85aa1d13b742e9224a9e717401ebdff3c681f87b77e1e9"),
+])
+def test_poly_identities_bytes_are_unchanged(capsys, argv, digest):
+    code, out, err = run(capsys, "poly-identities", *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_poly_identities_refuses_max_n_above_cap(capsys, monkeypatch):
+    calls = []
+
+    def fake(n):
+        calls.append(n)
+        return polyid.TelescopeReport(n=n, corrected_ok=True, printed_ok=False)
+
+    monkeypatch.setattr(polyid, "verify_telescoping", fake)
+    monkeypatch.setattr(polyid, "verify_triple_identity", lambda n: True)
+    cap = polyid.MAX_N_CAP
+    for max_n in (cap + 1, 1000):
+        code, out, err = run(capsys, "poly-identities", "--max-n", str(max_n))
+        assert (code, out) == (1, "")
+        assert err == "error: --max-n %d is above the cap of %d\n" % (max_n, cap)
+        assert calls == []
+    code, out, err = run(capsys, "poly-identities", "--max-n", str(cap))
+    assert (code, err) == (0, "")
+    assert calls == list(range(1, cap + 1))
 
 
 @pytest.mark.parametrize("n", ["-1", "0", "two"])
