@@ -24,6 +24,7 @@ from .homology import (DegreeMismatch, DescentObstruction, _rank_counts,
                        cycle_basis, euler_characteristic_mod2, pair,
                        reduce_to_homology)
 from .lattice import LatticeError
+from .linalg import _int_product
 
 # Where each public operation is surfaced.  One home per operation; shared
 # plumbing (validation, fixture loading) naturally also runs elsewhere.
@@ -59,6 +60,12 @@ COMMAND_TABLE = {
                  "fixtures.random_admissible", "fixtures.random_homology_sphere",
                  "fixtures.random_valid", "fixtures.random_nilpotent_phi"),
 }
+
+
+# largest builtin fixture order each command takes; at the cap one run
+# takes about 1 s as a subprocess (Python 3.11, 2 shared CPUs), with
+# verify-sum-bound's triple mode the slowest use of its cap
+ORDER_CAPS = {"phi": 200, "h": 180, "verify-sum-bound": 48}
 
 
 class UsageError(Exception):
@@ -156,6 +163,17 @@ def _load_factor(label, spec, path, u_param):
         raise UsageError("missing %s factor: pass a fixture spec or a document path"
                          % label)
     return _load_data(spec, path, u_param)
+
+
+def _check_orders(command: str, *specs) -> None:
+    """Refuse, before any fixture is built, a builtin order above the
+    command's cap; a spec builtin would refuse is refused as it would be."""
+    cap = ORDER_CAPS[command]
+    for spec in specs:
+        order = fixtures._checked(spec)[0] if spec else 0
+        if order > cap:
+            raise ValueError("%s has order %d, above the %s cap of %d"
+                             % (spec, order, command, cap))
 
 
 def _generator_index(data, name: str) -> int:
@@ -293,14 +311,19 @@ def cmd_disjoint_union(args) -> int:
     rep.add("generators", built.total.size)
     ue = connect_sum.extended_u(built)
     d = built.total.differential
-    rep.add("extended-u-commutes", d @ ue == ue @ d)
+    # both products have the denominator of d's integer form times ue's
+    rep.add("extended-u-commutes", _int_product(d, ue) == _int_product(ue, d))
     if args.homology:
         rep.add("homology-dims", _dims(_homology_dims(built.total)))
     # u-placement symmetry holds on classes of the homology-level complex,
-    # so sample cycles with the factors reduced first
-    ra = reduce_to_homology(a)
-    rb = reduce_to_homology(b)
-    reduced_union = connect_sum.disjoint_union_complex(ra, rb)
+    # so sample cycles with the factors reduced first.  A factor with d = 0
+    # is its own homology: when neither factor needs reducing, the union
+    # built above is the homology-level one.  Only each residue's dimension
+    # fixes the sample count, and the verdict does not depend on the basis.
+    ra, reduced_a = _reduced_first(a)
+    rb, reduced_b = _reduced_first(b)
+    reduced_union = (connect_sum.disjoint_union_complex(ra, rb)
+                     if reduced_a or reduced_b else built)
     samples = []
     for r in range(8):
         samples += cycle_basis(reduced_union.total, r)
@@ -323,6 +346,7 @@ def _reduced_first(data):
 
 
 def cmd_phi(args) -> int:
+    _check_orders("phi", args.fixture)
     data, source = _load_input(args)
     data, reduced = _reduced_first(data)
     class_name = args.cls
@@ -357,6 +381,7 @@ def cmd_phi(args) -> int:
 
 
 def cmd_h(args) -> int:
+    _check_orders("h", args.fixture)
     data, source = _load_input(args)
     data, reduced = _reduced_first(data)
     result = invariants.h_invariant(data)
@@ -460,6 +485,7 @@ def _bound_factor(label, spec, path, u_param, functional_name):
 
 
 def cmd_verify_sum_bound(args) -> int:
+    _check_orders("verify-sum-bound", args.a, args.b, args.c)
     a, fa = _bound_factor("left", args.a, args.file_a, args.u_param,
                           args.functional_a)
     b, fb = _bound_factor("right" if not args.c and not args.file_c else "middle",
@@ -597,6 +623,10 @@ def _add_pair_args(p, third=False):
     p.add_argument("--json", action="store_true")
 
 
+def _capped(command: str) -> str:
+    return "Builtin fixture orders above %d are refused." % ORDER_CAPS[command]
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="floer-workbench",
@@ -627,13 +657,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_pair_args(p)
     p.add_argument("--homology", action="store_true", help="include homology dims")
 
-    p = sub.add_parser("phi", help="span and filtration readings of phi")
+    p = sub.add_parser("phi", help="span and filtration readings of phi",
+                       description=_capped("phi"))
     _add_input_args(p)
     p.add_argument("--class", dest="cls", help="generator name (default: distinguished)")
     p.add_argument("--mode", choices=("plus", "minus"), default="minus",
                    help="minus pairs a vector, plus a functional")
 
-    p = sub.add_parser("h", help="signed span difference of reduced data")
+    p = sub.add_parser("h", help="signed span difference of reduced data",
+                       description=_capped("h"))
     _add_input_args(p)
 
     p = sub.add_parser("eta", help="congruent-vector count in the E8-block lattice")
@@ -656,7 +688,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "coordinate is negative")
     p.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("verify-sum-bound", help="kernel cycle pairing at the shifted level")
+    p = sub.add_parser("verify-sum-bound", help="kernel cycle pairing at the shifted level",
+                       description=_capped("verify-sum-bound"))
     _add_pair_args(p, third=True)
     p.add_argument("--n", type=_positive_int, help="nilpotency exponent (default: inferred)")
     p.add_argument("--functional-l", dest="functional_a", help="left functional generator")

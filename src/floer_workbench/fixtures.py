@@ -27,7 +27,6 @@ Coefficients are exact rationals 'p' or 'p/q'; floats are rejected.
 from __future__ import annotations
 
 import random
-import re
 from fractions import Fraction
 from typing import Optional, Tuple
 
@@ -36,10 +35,6 @@ from .complexes import (DEGREE_MOD, FloerData, GradedComplex, Kind,
 from .linalg import RatMatrix, Vector, invert, rational
 
 SECTION_NAMES = ("kind", "generators", "differential", "u", "delta", "delta_prime")
-
-# a token is a maximal run of non-whitespace; \s and str.isspace agree on
-# every code point, so the columns are str.isspace's
-_TOKEN_RE = re.compile(r"\S+")
 
 
 class FixtureError(KeyError):
@@ -150,6 +145,13 @@ def builtin(spec: str, u_param=0) -> FloerData:
     by the other fixtures.  An order above ORDER_CAP is refused with
     ValueError before anything is built.
     """
+    order, build = _checked(spec)
+    return build(order, u_param)
+
+
+def _checked(spec: str) -> tuple:
+    """(order, builder) for builtin(spec), after every check builtin makes
+    before building; the order of an orderless fixture is 1."""
     name, order = split_fixture_spec(spec)
     if name not in _BUILTINS:
         raise FixtureError("unknown fixture %r (have: %s)" % (name, ", ".join(fixture_names())))
@@ -157,14 +159,14 @@ def builtin(spec: str, u_param=0) -> FloerData:
     if not takes_order:
         if order is not None:
             raise FixtureError("%s takes no order parameter" % (name,))
-        return build(1, u_param)
+        return 1, build
     if order is None:
         raise FixtureError("%s needs an order, e.g. %s:2" % (name, name))
     if order < 1:
         raise FixtureError("%s needs order >= 1" % (name,))
     if order > ORDER_CAP:
         raise ValueError("%s has order %d, above the cap of %d" % (spec, order, ORDER_CAP))
-    return build(order, u_param)
+    return order, build
 
 
 def fixture_description(name: str) -> str:
@@ -427,10 +429,21 @@ def serialize(data: FloerData) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _tokenize(line: str):
-    """Yield (token, 1-based column) pairs."""
-    for m in _TOKEN_RE.finditer(line):
-        yield m.group(), m.start() + 1
+def _tokenize(line: str) -> list:
+    """(token, 1-based column) pairs.
+
+    A token is a maximal run of non-whitespace, as str.split() finds them;
+    \\s and str.isspace agree on every code point, so these are the runs of
+    \\S+.  Only whitespace lies between the end of one token and the start
+    of the next, so the next token's first occurrence there is its column.
+    """
+    out = []
+    pos = 0
+    for tok in line.split():
+        start = line.index(tok, pos)
+        pos = start + len(tok)
+        out.append((tok, start + 1))
+    return out
 
 
 def _parse_rational_token(token: str, lineno: int, column: int) -> Fraction:
@@ -456,7 +469,7 @@ def parse(text: str, check: bool = True) -> FloerData:
         stripped = raw.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        tokens = list(_tokenize(raw))
+        tokens = _tokenize(raw)
         first, first_col = tokens[0]
         if first in SECTION_NAMES and len(tokens) == 1 and not raw[0].isspace():
             if sections[first] and current != first:

@@ -8,10 +8,15 @@ ever touches a float.
 
 A matrix also builds, once and on first use, an integer form: the lcm den
 of its entries' denominators and the integer rows of den times the matrix,
-in the row view's order.  Products (@) multiply integer forms and build
-one Fraction per output entry; rank eliminates copies of the integer rows,
-and so can any group of them (_row_rank), such as the rows of one degree
-that homology._rank_counts ranks in place of a column block.  The public
+in the row view's order.  _int_product(a, b) multiplies two integer forms
+and returns the integer accumulator, den_a * den_b * (a @ b); products (@)
+divide it by that denominator, one Fraction per output entry.  Identity
+certificates compare accumulators instead: a @ b and b @ a share the
+denominator den_a * den_b, so they are equal exactly when their
+accumulators are, and complexes.validate decides the u chain relation the
+same way.  rank eliminates copies of the integer rows, and so can any group
+of them (_row_rank), such as the rows of one degree that
+homology._rank_counts ranks in place of a column block.  The public
 constructor coerces and bounds-checks every entry, but matrices built from
 other matrices' entries (sums, differences, scalings, transposes, products,
 column blocks, the connected-sum blocks) skip both through
@@ -44,7 +49,7 @@ from typing import Iterable, Mapping, Optional
 
 Vector = dict  # index -> Fraction, zeros omitted
 
-_RATIONAL_RE = re.compile(r"^-?\d+(/[1-9]\d*)?$")
+_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
 
 
 def rational(value) -> Fraction:
@@ -54,10 +59,13 @@ def rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        text = value.strip()
-        if not _RATIONAL_RE.match(text):
+        match = _RATIONAL_RE.match(value.strip())
+        if match is None:
             raise ValueError("not an exact rational literal: %r" % (value,))
-        return Fraction(text)
+        # the pattern admits only what int() reads, so Fraction(str) would
+        # read the same two integers again
+        p, q = match.groups()
+        return Fraction(int(p), int(q)) if q else Fraction(int(p))
     raise TypeError("cannot coerce %r to a rational" % (value,))
 
 
@@ -205,30 +213,16 @@ class RatMatrix:
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
         """The product, summed on integer numerators over the common
-        denominator of both integer forms.  Entries come out in the order a
-        Fraction loop over self's entries and other's rows would insert
-        them: the partial sums are the same up to that positive factor, so
-        the same ones vanish."""
+        denominator of both integer forms (_int_product).  Entries come out
+        in the order a Fraction loop over self's entries and other's rows
+        would insert them: the partial sums are the same up to that positive
+        factor, so the same ones vanish."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matmul")
-        den_a, rows_a = self._integer_form()
-        den_b, rows_b = other._integer_form()
-        acc = {}
-        for r, k in self.entries:
-            line = rows_b.get(k)
-            if line is None:
-                continue
-            v = rows_a[r][k]
-            for c, w in line.items():
-                key = (r, c)
-                s = acc.get(key, 0) + v * w
-                if s:
-                    acc[key] = s
-                else:
-                    acc.pop(key, None)
-        den = den_a * den_b
+        den = self._integer_form()[0] * other._integer_form()[0]
         return RatMatrix._trusted(self.rows, other.cols,
-                                  {key: Fraction(s, den) for key, s in acc.items()})
+                                  {key: Fraction(s, den)
+                                   for key, s in _int_product(self, other).items()})
 
     def _integer_form(self) -> tuple:
         """(den, row -> {col: den * value}), rows in the row view's order.
@@ -292,6 +286,27 @@ def _group_lines(entries: dict, axis: int) -> dict:
             line = lines[key[axis]] = {}
         line[key[1 - axis]] = v
     return lines
+
+
+def _int_product(a: RatMatrix, b: RatMatrix) -> dict:
+    """(row, col) -> nonzero integer entry of den_a * den_b * (a @ b), where
+    den_a and den_b are the denominators of a's and b's integer forms."""
+    rows_a = a._integer_form()[1]
+    rows_b = b._integer_form()[1]
+    acc = {}
+    for r, k in a.entries:
+        line = rows_b.get(k)
+        if line is None:
+            continue
+        v = rows_a[r][k]
+        for c, w in line.items():
+            key = (r, c)
+            s = acc.get(key, 0) + v * w
+            if s:
+                acc[key] = s
+            else:
+                acc.pop(key, None)
+    return acc
 
 
 def _combine(lines: dict, coeffs: Vector) -> Vector:

@@ -3,6 +3,7 @@ import importlib
 import inspect
 import json
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -65,12 +66,12 @@ def test_table_names_resolve_to_callables():
             assert callable(getattr(module, funcname))
 
 
-def _bench_layers():
-    """bench/layers.py as it stands; it imports bench/spans.py beside it."""
+def _bench_module(name):
+    """bench/<name>.py as it stands, with the modules it imports beside it."""
     bench = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench")
     sys.path.insert(0, bench)
     try:
-        return importlib.import_module("layers")
+        return importlib.import_module(name)
     finally:
         sys.path.remove(bench)
 
@@ -80,7 +81,7 @@ def test_benchmark_layer_names_are_public_operations():
     the counters derived from results and argparse's parse_args, names a
     public function or method of the package, so deleting one fails here
     and not only in the benchmark's self-check."""
-    layers = _bench_layers()
+    layers = _bench_module("layers")
     names = {n for table in (layers.SELF_MS, layers.COUNTS)
              for group in table.values() for n in group}
     names |= {n for num, den, _ in layers.RATIOS.values() for n in (num, den)}
@@ -298,8 +299,8 @@ def test_disjoint_union_checks_samples_against_one_solver(capsys, monkeypatch):
 
 
 def test_disjoint_union_validates_each_factor_once(capsys, monkeypatch):
-    # the union and the reduction both require the loaded factors valid;
-    # the reduced factors are new objects and are validated once each too
+    # the union requires the loaded factors valid; ladders have d = 0, so
+    # no reduced factor is built and nothing else is validated
     from floer_workbench import complexes
 
     seen, loaded = [], []
@@ -311,7 +312,7 @@ def test_disjoint_union_validates_each_factor_once(capsys, monkeypatch):
                      "--b", "NilpotentLadder:3", "--homology")
     assert code == 0
     assert [data for data in seen if any(data is f for f, _ in loaded)] == [f for f, _ in loaded]
-    assert len(seen) == len({id(data) for data in seen}) == 4
+    assert len(seen) == len({id(data) for data in seen}) == 2
 
 
 def test_file_documents_are_validated_once(tmp_path, capsys, monkeypatch):
@@ -330,7 +331,7 @@ def test_file_documents_are_validated_once(tmp_path, capsys, monkeypatch):
     code, _, _ = run(capsys, "disjoint-union", "--file-a", paths[0],
                      "--file-b", paths[1], "--homology")
     assert code == 0
-    assert len(seen) == len({id(data) for data in seen}) == 4
+    assert len(seen) == len({id(data) for data in seen}) == 2
     seen.clear()
     code, _, _ = run(capsys, "homology", "--file", paths[0])
     assert code == 0
@@ -378,8 +379,8 @@ def test_dimension_reports_run_no_homology_bases(capsys, monkeypatch, argv):
 
 
 def test_disjoint_union_homology_dims_add_no_homology_call(capsys, monkeypatch):
-    # the kernel-symmetry samples reduce both factors, and with them
-    # homology() runs on each factor; --homology adds nothing on the union
+    # ladders have d = 0, so the kernel-symmetry samples reduce neither
+    # factor and homology() never runs; --homology adds nothing on the union
     sizes = _count_homology_calls(monkeypatch)
     argv = ["disjoint-union", "--a", "NilpotentLadder:2", "--b", "NilpotentLadder:3"]
     assert run(capsys, *argv)[0] == 0
@@ -388,7 +389,101 @@ def test_disjoint_union_homology_dims_add_no_homology_call(capsys, monkeypatch):
     code, out, _ = run(capsys, *(argv + ["--homology"]))
     assert code == 0
     assert "homology-dims: " in out
-    assert sizes == without == [4, 6]
+    assert sizes == without == []
+
+
+LADDER_UNIONS = [["disjoint-union", "--a", "NilpotentLadder:%d" % a,
+                  "--b", "NilpotentLadder:%d" % b] + extra
+                 for a in range(1, 9) for b in range(1, 9)
+                 for extra in ([], ["--homology"])]
+
+
+def _seeded_file_unions(rng, count):
+    """Write count pairs of admissible documents with d != 0 to the current
+    directory; the union argv of each pair, with and without --homology."""
+    argvs = []
+    for i in range(count):
+        paths = []
+        while len(paths) < 2:
+            data = fixtures.random_admissible(rng, max_gens=8)
+            if not data.complex.differential.is_zero():
+                paths.append("u%d%s.fx" % (i, "ab"[len(paths)]))
+                with open(paths[-1], "w") as fh:
+                    fh.write(fixtures.serialize(data))
+        argv = ["disjoint-union", "--file-a", paths[0], "--file-b", paths[1]]
+        argvs += [argv, argv + ["--homology"]]
+    return argvs
+
+
+def _outcomes_digest(capsys, argvs):
+    digest = hashlib.sha256()
+    for argv in argvs:
+        code, out, err = run(capsys, *argv)
+        digest.update(("%s\0%s\0%s\0%d\n" % (" ".join(argv), out, err, code)).encode())
+    return digest.hexdigest()
+
+
+# sha256 of every argv, stdout, stderr and exit code, recorded while both
+# factors were reduced and a second union built for the samples
+@pytest.mark.parametrize("kind, digest", [
+    ("ladders", "d6a4f18a942ae6d0b1c95615796ace45661b49fa17c97e12cd07b67ca5797619"),
+    ("files", "fd7240ed50d4de2ceca51d2a0cebd269551227b79ce9d3625d44744fc1733bea"),
+], ids=["ladders", "files"])
+def test_disjoint_union_bytes_are_unchanged(tmp_path, capsys, monkeypatch, kind, digest):
+    monkeypatch.chdir(tmp_path)
+    argvs = (LADDER_UNIONS if kind == "ladders"
+             else _seeded_file_unions(random.Random(20), 16))
+    assert _outcomes_digest(capsys, argvs) == digest
+
+
+def _count_union_work(monkeypatch):
+    """Calls of disjoint_union_complex and of reduce_to_homology, from cli."""
+    calls = {"union": 0, "reduce": 0}
+    union, reduce = connect_sum.disjoint_union_complex, cli.reduce_to_homology
+
+    def counting_union(a, b):
+        calls["union"] += 1
+        return union(a, b)
+
+    def counting_reduce(data):
+        calls["reduce"] += 1
+        return reduce(data)
+
+    monkeypatch.setattr(connect_sum, "disjoint_union_complex", counting_union)
+    monkeypatch.setattr(cli, "reduce_to_homology", counting_reduce)
+    return calls
+
+
+@pytest.mark.parametrize("homology", [False, True])
+def test_disjoint_union_of_reduced_factors_builds_one_union(capsys, monkeypatch,
+                                                            homology):
+    # a factor with d = 0 is its own homology, so the union built for the
+    # report is the one whose cycles are sampled
+    calls = _count_union_work(monkeypatch)
+    argv = ["disjoint-union", "--a", "NilpotentLadder:2", "--b", "NilpotentLadder:3"]
+    code, out, _ = run(capsys, *(argv + ["--homology"] * homology))
+    assert code == 0
+    assert "kernel-symmetry-samples: 6\n" in out
+    assert calls == {"union": 1, "reduce": 0}
+
+
+def test_disjoint_union_reduces_factors_with_a_differential(tmp_path, capsys,
+                                                            monkeypatch):
+    # factors with d != 0 are reduced and united again, as before
+    paths = []
+    rng = random.Random(4)
+    while len(paths) < 2:
+        data = fixtures.random_admissible(rng)
+        if not data.complex.differential.is_zero():
+            path = tmp_path / ("factor%d.fx" % len(paths))
+            path.write_text(fixtures.serialize(data))
+            paths.append(str(path))
+    calls = _count_union_work(monkeypatch)
+    code, out, _ = run(capsys, "disjoint-union", "--file-a", paths[0],
+                       "--file-b", paths[1])
+    assert code == 0
+    assert "kernel-symmetry-all-true: true\n" in out
+    assert calls == {"union": 2, "reduce": 2}
 
 
 def test_connect_sum_search_assembles_once(capsys, monkeypatch):
@@ -442,6 +537,69 @@ def test_fixture_order_above_the_cap_exits_one_before_building(capsys, monkeypat
         assert (code, out) == (1, "")
         assert err.startswith("error: ")
         assert err.endswith("above the cap of %d\n" % fixtures.ORDER_CAP)
+
+
+def _over(command, name="NilpotentLadder"):
+    return "%s:%d" % (name, cli.ORDER_CAPS[command] + 1)
+
+
+@pytest.mark.parametrize("argv, spec", [
+    (["phi", "--fixture", _over("phi")], _over("phi")),
+    (["phi", "--fixture", "nPplusModel:400", "--mode", "plus"], "nPplusModel:400"),
+    (["h", "--fixture", _over("h", "nPplusModel")], _over("h", "nPplusModel")),
+    (["h", "--fixture", "NilpotentLadder:400"], "NilpotentLadder:400"),
+    (["verify-sum-bound", "--a", "NilpotentLadder:2", "--b", _over("verify-sum-bound")],
+     _over("verify-sum-bound")),
+    (["verify-sum-bound", "--a", "NilpotentLadder:2", "--b", "NilpotentLadder:2",
+      "--c", "NilpotentLadder:200"], "NilpotentLadder:200"),
+])
+def test_orders_above_a_command_cap_are_refused_at_once(argv, spec):
+    # each of these ran for 10 s or more before the caps
+    proc = subprocess.run([sys.executable, "-m", "floer_workbench.cli", *argv],
+                          capture_output=True, env=_cli_env(), timeout=20)
+    command = argv[0]
+    assert proc.returncode == 1
+    assert proc.stdout == b""
+    assert proc.stderr.decode() == ("error: %s has order %s, above the %s cap of %d\n"
+                                    % (spec, spec.split(":")[1], command,
+                                       cli.ORDER_CAPS[command]))
+
+
+@pytest.mark.parametrize("argv", [
+    ["phi", "--fixture", "nPplusModel:%d" % cli.ORDER_CAPS["phi"]],
+    ["h", "--fixture", "NilpotentLadder:%d" % cli.ORDER_CAPS["h"]],
+    ["verify-sum-bound", "--a", "NilpotentLadder:%d" % cli.ORDER_CAPS["verify-sum-bound"],
+     "--b", "NilpotentLadder:16", "--c", "NilpotentLadder:1"],
+])
+def test_orders_at_a_command_cap_are_built(capsys, monkeypatch, argv):
+    # the cap admits its own order: the first fixture gets built
+    def build(*args, **kwargs):
+        raise ValueError("built")
+
+    monkeypatch.setattr(fixtures, "_ladder", build)
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", "error: built\n")
+
+
+def test_command_caps_admit_every_benchmark_job(tmp_path):
+    workloads = _bench_module("workloads")
+    checked = 0
+    for name in workloads.WORKLOADS:
+        jobs, _ = workloads.JOB_LISTS[name](workloads.build_inputs(name, 7, str(tmp_path)))
+        for job in jobs:
+            if job.argv[0] in cli.ORDER_CAPS:
+                specs = [v for k, v in zip(job.argv, job.argv[1:])
+                         if k in ("--fixture", "--a", "--b", "--c")]
+                cli._check_orders(job.argv[0], *specs)
+                checked += len(specs)
+    assert checked > 10
+
+
+def test_order_above_the_fixture_cap_keeps_its_message(capsys):
+    code, out, err = run(capsys, "phi", "--fixture",
+                         "NilpotentLadder:%d" % (fixtures.ORDER_CAP + 1))
+    assert (code, out) == (1, "")
+    assert err.endswith("above the cap of %d\n" % fixtures.ORDER_CAP)
 
 
 def test_signs_starting_with_minus_need_the_equals_form(capsys):

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -14,7 +15,8 @@ from floer_workbench.complexes import (
     u_chain_residual,
     validate,
 )
-from floer_workbench.fixtures import builtin, random_admissible, random_valid
+from floer_workbench.fixtures import (builtin, random_admissible,
+                                     random_homology_sphere, random_valid)
 from floer_workbench.linalg import RatMatrix, vector
 
 
@@ -145,6 +147,68 @@ def test_admissible_commutation():
         d, u = data.complex.differential, data.u
         assert (d @ u - u @ d).is_zero()
         assert validate(data).ok
+
+
+def _changed(rng, data):
+    """data with one entry of u or of d changed, or one entry added."""
+    n, cx, u = data.size, data.complex, data.u
+    change_d = rng.random() < 0.5
+    entries = dict(cx.differential.entries if change_d else u.entries)
+    key = (rng.choice(sorted(entries)) if entries and rng.random() < 0.7
+           else (rng.randrange(n), rng.randrange(n)))
+    entries[key] = entries.get(key, 0) + rng.choice((1, -1, Fraction(1, 2), Fraction(3, 7)))
+    if change_d:
+        cx = GradedComplex(cx.names, cx.degrees, RatMatrix(n, n, entries))
+    else:
+        u = RatMatrix(n, n, entries)
+    return FloerData(cx, u, data.delta, data.delta_prime, data.kind)
+
+
+def _chain_cases():
+    """Valid data of both kinds, one-entry changes of it, and admissible
+    data given a boundary functional and vector, so delta' . delta != 0."""
+    rng = random.Random(1729)
+    for _ in range(60):
+        data = random_valid(rng)
+        yield data
+        for _ in range(3):
+            yield _changed(rng, data)
+        sphere = random_homology_sphere(rng)
+        yield sphere
+        yield _changed(rng, sphere)
+        adm = random_admissible(rng)
+        ones = [i for i, deg in enumerate(adm.complex.degrees) if deg == 1]
+        fours = [i for i, deg in enumerate(adm.complex.degrees) if deg == 4]
+        if ones and fours:
+            yield FloerData(adm.complex, adm.u, {rng.choice(ones): Fraction(rng.randint(1, 3))},
+                            {rng.choice(fours): Fraction(1, rng.randint(1, 3))}, adm.kind)
+
+
+def test_chain_relations_match_the_fraction_residual():
+    """The integer verdicts equal the Fraction residual's, and a failure is
+    described from that residual: the texts hash as they did when both
+    relations were decided on Fraction matrices."""
+    from floer_workbench import complexes
+
+    texts, verdicts = hashlib.sha256(), {True: 0, False: 0}
+    checked = ("u-chain-relation", "admissible-commutation")
+    for data in _chain_cases():
+        got = [(v.invariant, v.detail) for v in validate(data).violations
+               if v.invariant in checked]
+        residual = u_chain_residual(data)
+        expected = []
+        complexes._matrix_zero_check(data.complex, residual, checked[0],
+                                     "d u - u d + (1/2) delta_prime . delta != 0", expected)
+        if data.kind is Kind.ADMISSIBLE:
+            d = data.complex.differential
+            complexes._matrix_zero_check(data.complex, d @ data.u - data.u @ d, checked[1],
+                                         "admissible data needs d u = u d", expected)
+        assert got == [(v.invariant, v.detail) for v in expected]
+        verdicts[residual.is_zero()] += 1
+        texts.update(repr(got).encode())
+    assert min(verdicts.values()) > 50
+    assert texts.hexdigest() == (
+        "bf04903b22102557c9ff3f27e19be347aaec71783bbe2649087710366b2902c7")
 
 
 def test_dualize_is_involution():

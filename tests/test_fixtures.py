@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 
 import pytest
 
@@ -131,6 +132,57 @@ def test_parse_reports_line_and_column():
         parse("kind\n  admissible\n")  # no generators section
     with pytest.raises(ParseError):
         parse("kind\n  wrong_kind\ngenerators\n  a 0\n")
+
+
+def test_tokenize_matches_nonspace_runs():
+    """Columns are where the pattern \\S+ finds each token, on lines mixing
+    tab, ideographic space, U+001C, NEL, no-break space and repeated
+    tokens."""
+    rng = random.Random(1618)
+    pieces = ["\t", "\u3000", "\x1c", "\x85", "\xa0", " ", "  ", "1/2", "1/2",
+              "a", "ab", "b4", "-3", "\u00bd", "x1/2"]
+    for _ in range(100000):
+        line = "".join(rng.choice(pieces) for _ in range(rng.randint(0, 9)))
+        assert fixtures._tokenize(line) == [(m.group(), m.start() + 1)
+                                            for m in re.finditer(r"\S+", line)]
+
+
+def _mutated_documents():
+    """Seeded documents with one line respaced, and often given an odd
+    coefficient or a stray section line."""
+    rng = random.Random(5)
+    seps = [" ", "\t", "\u3000", "\x1c", "\x1f", "\x85", "\xa0", "\x0b", "  "]
+    coeffs = ["-0", "007", "-4/8", "3/06", "1/0", "+1", "\uff11", "\u0661\u0662/\u0663",
+              "1" * 30, "1.5", "2e3", "1_0", "0x1", "/2", "2/", "1/-2", "\u00bd"]
+    base = serialize(random_admissible(random.Random(3), max_gens=6))
+    for _ in range(300):
+        lines = base.splitlines()
+        k = rng.randrange(len(lines))
+        tokens = lines[k].split()
+        if tokens and rng.random() < 0.6:
+            tokens[rng.randrange(len(tokens))] = rng.choice(coeffs)
+        lines[k] = (rng.choice(["", "  ", "\t", "\u3000", "\xa0"])
+                    + rng.choice(seps).join(tokens) + rng.choice(["", " ", "\t", "\u3000"]))
+        if rng.random() < 0.2:
+            lines.insert(rng.randrange(len(lines)),
+                         rng.choice(["u", "  u", "bogus 1", "kind", "generators"]))
+        yield "\n".join(lines) + "\n"
+
+
+def test_parse_outcomes_of_mutated_documents_are_unchanged():
+    # sha256 of every outcome, recorded while tokens were found by a regular
+    # expression and coefficients read by Fraction(str)
+    digest, errors = hashlib.sha256(), 0
+    for text in _mutated_documents():
+        try:
+            outcome = serialize(parse(text))
+        except (ParseError, SemanticError) as exc:
+            outcome = "%s %s %s" % (type(exc).__name__, getattr(exc, "line", ""), exc)
+            errors += 1
+        digest.update(outcome.encode() + b"\0")
+    assert errors > 150
+    assert digest.hexdigest() == (
+        "00534fda404482bb52f702954b8637bd25c85c2359f33329cdf34dab0ae6a2d5")
 
 
 def test_parse_semantic_gate():

@@ -1,4 +1,5 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from floer_workbench.linalg import (
     LinearSolver,
     RatMatrix,
+    _int_product,
     dot,
     image_basis,
     invert,
@@ -39,6 +41,32 @@ def test_rational_conversion():
     assert rational(Fraction(1, 7)) == Fraction(1, 7)
     with pytest.raises(TypeError):
         rational(0.5)
+
+
+def _reference_rational(value):
+    """rational() on strings as it read them through Fraction(str)."""
+    text = value.strip()
+    if not re.match(r"^-?\d+(/[1-9]\d*)?$", text):
+        raise ValueError("not an exact rational literal: %r" % (value,))
+    return Fraction(text)
+
+
+def _outcome(fn, value):
+    try:
+        q = fn(value)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+    return type(q), q, q.numerator, q.denominator
+
+
+@pytest.mark.parametrize("text", [
+    "-0", "007", " 2 ", "-4/8", "3/06", "1/0", "+1", "\uff11", "\u0661\u0662/\u0663",
+    "1" * 30, "-" + "9" * 30 + "/" + "7" * 29, "5" * 5000, "1/" + "3" * 5000,
+    "0/5", "-12/18", "\t3/4\u3000", "1/2\n", "1.5", "1e3", "1_000", "0x10",
+    "/2", "2/", "--1", "1/-2", "", " ", "\u00bd", "\u00b2",
+])
+def test_rational_matches_fraction_of_the_text(text):
+    assert _outcome(rational, text) == _outcome(_reference_rational, text)
 
 
 def test_vector_drops_zeros():
@@ -201,6 +229,35 @@ def test_matmul_matches_fraction_reference():
     assert list((a @ b).entries.items()) == [((0, 1), Fraction(1)),
                                              ((0, 0), Fraction(1, 3))]
     assert (a @ RatMatrix(3, 2, {(0, 0): 2, (1, 0): -1})).is_zero()
+
+
+def _seeded_square(rng, n, den):
+    """A sparse n x n matrix with entries p/den, p in -3..3."""
+    return RatMatrix(n, n, {(rng.randrange(n), rng.randrange(n)):
+                            Fraction(rng.randint(-3, 3), den)
+                            for _ in range(rng.randint(0, 2 * n))})
+
+
+def test_integer_commutation_matches_fraction_products():
+    """Both products' accumulators share den_a * den_b, so comparing them
+    decides a @ b == b @ a; polynomials in one matrix give commuting pairs."""
+    rng = random.Random(2718)
+    seen = {True: 0, False: 0}
+    for _ in range(400):
+        n = rng.randint(1, 7)
+        den_a, den_b = rng.choice((1, 2, 3, 6, 7)), rng.choice((1, 2, 3, 6, 7))
+        a = _seeded_square(rng, n, den_a)
+        if rng.random() < 0.5:
+            b = _seeded_square(rng, n, den_b)
+        else:  # c0 + c1 a + c2 a^2, which commutes with a
+            c0, c1, c2 = [Fraction(rng.randint(-3, 3), den_b) for _ in range(3)]
+            b = (RatMatrix.identity(n).scale(c0) + a.scale(c1)) + (a @ a).scale(c2)
+        verdict = _int_product(a, b) == _int_product(b, a)
+        assert verdict == (a @ b == b @ a)
+        seen[verdict] += 1
+        den = a._integer_form()[0] * b._integer_form()[0]
+        assert {k: Fraction(v, den) for k, v in _int_product(a, b).items()} == (a @ b).entries
+    assert min(seen.values()) > 100
 
 
 def test_rank_of_block_with_cached_integer_form():
