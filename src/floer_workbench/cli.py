@@ -6,25 +6,21 @@ Rationals are always printed exactly, never as decimals.
 
 Exit status: 0 success, 1 domain error (a named invariant or precondition
 failed), 2 usage error (bad arguments, unknown fixture, unreadable file).
+
+Each command loads only the modules it uses: a handler imports them in its
+body, and this module imports nothing of the package at import time, nor
+json until a --json report is written.  So `eta` and `extremal` load
+lattice and linalg, `poly-identities` only polyid, and no command pays
+for the modules of another.  Every domain error is a ValueError, so main
+maps exit codes without importing the modules that raise them.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from fractions import Fraction
-
-from . import complexes, connect_sum, fixtures, invariants, lattice, polyid
-from .complexes import InvalidDataError
-from .connect_sum import SignConfig, SignSearchError
-from .fixtures import FixtureError, ParseError, SemanticError
-from .homology import (DegreeMismatch, DescentObstruction, _rank_counts,
-                       cycle_basis, euler_characteristic_mod2, pair,
-                       reduce_to_homology)
-from .lattice import LatticeError
-from .linalg import _int_product
 
 # Where each public operation is surfaced.  One home per operation; shared
 # plumbing (validation, fixture loading) naturally also runs elsewhere.
@@ -51,8 +47,7 @@ COMMAND_TABLE = {
                  "lattice.concat"),
     "verify-sum-bound": ("connect_sum.verify_sum_bound",
                          "connect_sum.build_pair_cycle",
-                         "connect_sum.build_triple_cycle",
-                         "connect_sum.triple_cycle_condition"),
+                         "connect_sum.build_triple_cycle"),
     "poly-identities": ("polyid.verify_telescoping", "polyid.verify_triple_identity"),
     "fixtures": ("fixtures.fixture_names", "fixtures.builtin",
                  "fixtures.split_fixture_spec", "fixtures.fixture_description",
@@ -66,6 +61,15 @@ COMMAND_TABLE = {
 # takes about 1 s as a subprocess (Python 3.11, 2 shared CPUs), with
 # verify-sum-bound's triple mode the slowest use of its cap
 ORDER_CAPS = {"phi": 200, "h": 180, "verify-sum-bound": 48}
+
+# largest --max-n poly-identities takes; the telescoping checks for
+# n = 1..N make about N^4/24 term products, and N = 60 took 0.9 s as a
+# subprocess (Python 3.11, 2 CPUs), N = 80 took 2.4 s
+MAX_N_CAP = 60
+
+# lattice.POWER_CAP and lattice.LIST_CAP, which eta's help states, repeated
+# so that building the parser does not import lattice; a test keeps them equal
+LATTICE_CAPS = {"power": 2048, "list": 16 ** 4}
 
 
 class UsageError(Exception):
@@ -106,6 +110,7 @@ def _dims(dims: dict):
 
 def _homology_dims(cx) -> dict:
     """Homology dimensions by residue from ranks alone; no basis is built."""
+    from .homology import _rank_counts
     cycles, boundaries = _rank_counts(cx)
     return {r: cycles[r] - boundaries[r] for r in cycles}
 
@@ -122,6 +127,7 @@ class Report:
     def emit(self, as_json: bool) -> None:
         out = sys.stdout
         if as_json:
+            import json
             payload = {k: _json_value(v) for k, v in self.pairs}
             if self.document is not None:
                 payload["document"] = self.document
@@ -139,6 +145,7 @@ class Report:
 
 def _load_data(fixture, path, u_param, check=True):
     """Returns (data, source description)."""
+    from . import fixtures
     if fixture and path:
         raise UsageError("pass --fixture or --file, not both")
     if fixture:
@@ -168,6 +175,7 @@ def _load_factor(label, spec, path, u_param):
 def _check_orders(command: str, *specs) -> None:
     """Refuse, before any fixture is built, a builtin order above the
     command's cap; a spec builtin would refuse is refused as it would be."""
+    from . import fixtures
     cap = ORDER_CAPS[command]
     for spec in specs:
         order = fixtures._checked(spec)[0] if spec else 0
@@ -184,16 +192,20 @@ def _generator_index(data, name: str) -> int:
                          % (name, " ".join(data.complex.names))) from None
 
 
-def _class_vector(spec: str) -> lattice.LatticeVector:
+def _class_vector(spec: str):
+    """The lattice.LatticeVector that --class names."""
+    from . import lattice
     try:
         return lattice.parse_vector(spec)
     except lattice.PowerTooLarge:
         raise  # a well-formed request beyond the stated size: exit 1
-    except (LatticeError, ValueError) as exc:
+    except ValueError as exc:  # LatticeError is a ValueError
         raise UsageError("bad --class %r: %s" % (spec, exc)) from None
 
 
-def _parse_signs(text: str) -> SignConfig:
+def _parse_signs(text: str):
+    """The connect_sum.SignConfig that --signs names."""
+    from .connect_sum import SignConfig
     parts = [p.strip() for p in text.split(",")]
     if len(parts) != 5:
         raise UsageError("--signs takes five comma-separated values, e.g. 1,1,1,1,-1")
@@ -208,6 +220,7 @@ def _parse_signs(text: str) -> SignConfig:
 
 
 def cmd_validate(args) -> int:
+    from . import complexes
     data, source = _load_input(args, check=False)
     rep = Report("validate")
     rep.add("source", source)
@@ -225,6 +238,8 @@ def cmd_validate(args) -> int:
 
 
 def cmd_homology(args) -> int:
+    from . import complexes
+    from .homology import _rank_counts, euler_characteristic_mod2
     data, source = _load_input(args)
     complexes.require_valid(data)
     cycles, boundaries = _rank_counts(data.complex)
@@ -243,6 +258,8 @@ def cmd_homology(args) -> int:
 
 
 def cmd_reduce(args) -> int:
+    from . import fixtures
+    from .homology import reduce_to_homology
     data, source = _load_input(args)
     reduced = reduce_to_homology(data)
     rep = Report("reduce")
@@ -256,6 +273,7 @@ def cmd_reduce(args) -> int:
 
 
 def cmd_dualize(args) -> int:
+    from . import complexes, fixtures
     data, source = _load_input(args)
     dual = complexes.dualize(data)
     rep = Report("dualize")
@@ -270,6 +288,7 @@ def cmd_dualize(args) -> int:
 
 
 def cmd_connect_sum(args) -> int:
+    from . import connect_sum
     a, desc_a = _load_factor("left", args.a, args.file_a, args.u_param)
     b, desc_b = _load_factor("right", args.b, args.file_b, args.u_param)
     signs = _parse_signs(args.signs) if args.signs else None
@@ -302,6 +321,9 @@ def cmd_connect_sum(args) -> int:
 
 
 def cmd_disjoint_union(args) -> int:
+    from . import connect_sum
+    from .homology import cycle_basis
+    from .linalg import _int_product
     a, desc_a = _load_factor("left", args.a, args.file_a, args.u_param)
     b, desc_b = _load_factor("right", args.b, args.file_b, args.u_param)
     built = connect_sum.disjoint_union_complex(a, b)
@@ -342,10 +364,12 @@ def _reduced_first(data):
     """(data with a zero differential, whether it had to be reduced)."""
     if data.complex.differential.is_zero():
         return data, False
+    from .homology import reduce_to_homology
     return reduce_to_homology(data), True
 
 
 def cmd_phi(args) -> int:
+    from . import fixtures, invariants
     _check_orders("phi", args.fixture)
     data, source = _load_input(args)
     data, reduced = _reduced_first(data)
@@ -381,6 +405,8 @@ def cmd_phi(args) -> int:
 
 
 def cmd_h(args) -> int:
+    from . import invariants
+    from .homology import pair
     _check_orders("h", args.fixture)
     data, source = _load_input(args)
     data, reduced = _reduced_first(data)
@@ -406,6 +432,7 @@ def cmd_h(args) -> int:
 
 
 def cmd_eta(args) -> int:
+    from . import lattice
     w = _class_vector(args.cls)
     if args.blocks is not None and w.blocks != args.blocks:
         raise UsageError("--blocks %d does not match the %d-block class"
@@ -421,13 +448,13 @@ def cmd_eta(args) -> int:
     rep.add("vectors", int(result.count))
     rep.add("count", result.count)
     rep.add("all-in-class", result.all_in_class)
-    for i, coords in enumerate(_vector_coords(result.vectors, args.json)):
+    for i, coords in enumerate(_vector_coords(result.vectors, args.json, lattice.BLOCK)):
         rep.add("vector %d" % i, coords)
     rep.emit(args.json)
     return 0
 
 
-def _vector_coords(vectors, as_json: bool) -> list:
+def _vector_coords(vectors, as_json: bool, block_size: int) -> list:
     """Each vector's coordinates as the report prints them.
 
     Listed vectors repeat a few block members many times, so each distinct
@@ -438,8 +465,8 @@ def _vector_coords(vectors, as_json: bool) -> list:
     out = []
     for v in vectors:
         parts = []
-        for start in range(0, len(v.doubled), lattice.BLOCK):
-            block = v.doubled[start:start + lattice.BLOCK]
+        for start in range(0, len(v.doubled), block_size):
+            block = v.doubled[start:start + block_size]
             text = texts.get(block)
             if text is None:
                 # doubled coordinates: c/2 is an integer when c is even
@@ -451,6 +478,7 @@ def _vector_coords(vectors, as_json: bool) -> list:
 
 
 def cmd_extremal(args) -> int:
+    from . import lattice
     w = _class_vector(args.cls)
     rep = Report("extremal")
     rep.add("class", args.cls)
@@ -460,13 +488,14 @@ def cmd_extremal(args) -> int:
     rep.add("extremal", lattice.is_extremal(w))
     try:
         rep.add("min-charge-k", lattice.min_charge_k(w))
-    except LatticeError:
+    except lattice.LatticeError:
         rep.add("min-charge-k", None)
     rep.emit(args.json)
     return 0
 
 
 def _bound_factor(label, spec, path, u_param, functional_name):
+    from . import fixtures
     data, _ = _load_factor(label, spec, path, u_param)
     data, _ = _reduced_first(data)
     f = None
@@ -485,6 +514,7 @@ def _bound_factor(label, spec, path, u_param, functional_name):
 
 
 def cmd_verify_sum_bound(args) -> int:
+    from . import connect_sum
     _check_orders("verify-sum-bound", args.a, args.b, args.c)
     a, fa = _bound_factor("left", args.a, args.file_a, args.u_param,
                           args.functional_a)
@@ -511,9 +541,9 @@ def cmd_verify_sum_bound(args) -> int:
 
 
 def cmd_poly_identities(args) -> int:
-    if args.max_n > polyid.MAX_N_CAP:
-        raise ValueError("--max-n %d is above the cap of %d"
-                         % (args.max_n, polyid.MAX_N_CAP))
+    from . import polyid
+    if args.max_n > MAX_N_CAP:
+        raise ValueError("--max-n %d is above the cap of %d" % (args.max_n, MAX_N_CAP))
     rep = Report("poly-identities")
     rep.add("max-n", args.max_n)
     all_ok = True
@@ -542,6 +572,7 @@ def _emit_document(rep: Report, document: str, as_json: bool) -> int:
 
 
 def cmd_fixtures(args) -> int:
+    from . import fixtures
     rep = Report("fixtures")
     if args.emit:
         name, order = fixtures.split_fixture_spec(args.emit)
@@ -672,11 +703,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--class", dest="cls", required=True,
                    help="w0, w0^n, zero^n (n at most %d), or comma-separated "
                         "coordinates; write --class=-1,... when the first is "
-                        "negative" % lattice.POWER_CAP)
+                        "negative" % LATTICE_CAPS["power"])
     p.add_argument("--blocks", type=int, help="expected block count (checked)")
     p.add_argument("--list", action="store_true",
                    help="list the vectors; refused for a class of more than %d"
-                        % lattice.LIST_CAP)
+                        % LATTICE_CAPS["list"])
     p.add_argument("--workers", type=int,
                    help="accepted and ignored: the search runs in one thread; "
                         "kept for existing scripts and due to be removed")
@@ -698,7 +729,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("poly-identities", help="telescoping and triple identities")
     p.add_argument("--max-n", type=_positive_int, default=5,
-                   help="check n = 1..N, N at most %d (default 5)" % polyid.MAX_N_CAP)
+                   help="check n = 1..N, N at most %d (default 5)" % MAX_N_CAP)
     p.add_argument("--json", action="store_true")
 
     p = sub.add_parser("fixtures", help="list, emit, or generate fixture documents")
@@ -759,12 +790,14 @@ def main(argv=None) -> int:
     except UsageError as exc:
         sys.stderr.write("usage error: %s\n" % exc)
         return 2
-    except FixtureError as exc:
+    except KeyError as exc:
+        # a FixtureError comes from fixtures, so fixtures is loaded by then
+        fixtures = sys.modules.get(__package__ + ".fixtures")
+        if fixtures is None or not isinstance(exc, fixtures.FixtureError):
+            raise
         sys.stderr.write("usage error: %s\n" % (exc.args[0] if exc.args else exc,))
         return 2
-    except (ParseError, SemanticError, InvalidDataError, SignSearchError,
-            invariants.NotNilpotent, DescentObstruction,
-            DegreeMismatch, LatticeError, ValueError) as exc:
+    except ValueError as exc:  # every domain error of the package is one
         sys.stderr.write("error: %s\n" % exc)
         return 1
 

@@ -556,12 +556,6 @@ def build_triple_cycle(a: FloerData, b: FloerData, c: FloerData,
     return _kernel_cycle((a, b, c), wa, (wb, wc), n)
 
 
-def triple_cycle_condition(a: FloerData, b: FloerData, c: FloerData,
-                           alpha: dict) -> bool:
-    """(u1 - u2)(u1 - u3) alpha == 0."""
-    return not _u_differences((a, b, c), alpha)
-
-
 def _functional_order(f: Vector, n_op: RatMatrix, limit: int) -> int:
     """Least k with f o N^k = 0."""
     current = dict(f)

@@ -21,7 +21,9 @@ File format
 Line oriented, whitespace separated, full-line # comments, six sections:
 kind, generators, differential, u, delta, delta_prime.  Matrix entries read
 "source target coefficient" and mean map(source) += coefficient * target.
-Coefficients are exact rationals 'p' or 'p/q'; floats are rejected.
+Coefficients are exact rationals 'p' or 'p/q'; floats are rejected.  A
+document that declares more than GENERATOR_CAP generators is refused
+before any matrix line is read.
 """
 
 from __future__ import annotations
@@ -96,6 +98,8 @@ def _ladder(n: int, top, bottom, c, top_first: bool, **fields) -> FloerData:
 # refused before anything is built: at the cap a ladder has 20000
 # generators, connect_sum.SUM_GENERATOR_CAP
 ORDER_CAP = 10000
+# the most generators a document may declare: a ladder at ORDER_CAP
+GENERATOR_CAP = 2 * ORDER_CAP
 
 # name -> (takes an order, description, distinguished generators,
 #          builder(order, u_param)); the order of an orderless fixture is 1
@@ -480,6 +484,9 @@ def parse(text: str, check: bool = True) -> FloerData:
             raise ParseError(lineno, first_col,
                              "entry before any section header (expected one of %s)"
                              % ", ".join(SECTION_NAMES))
+        if current == "generators" and len(sections[current]) == GENERATOR_CAP:
+            raise ParseError(lineno, first_col, "more than the %d generators a "
+                             "document may declare" % GENERATOR_CAP)
         sections[current].append((lineno, tokens))
 
     if not sections["kind"]:
@@ -511,9 +518,13 @@ def parse(text: str, check: bool = True) -> FloerData:
         deg_tok, deg_col = tokens[1]
         if name in index:
             raise ParseError(lineno, name_col, "duplicate generator %r" % (name,))
-        if not deg_tok.lstrip("-").isdigit():
+        try:
+            # isdigit() passes '--1' and a superscript two; int() refuses both
+            degree = int(deg_tok) if deg_tok.lstrip("-").isdigit() else None
+        except ValueError:
+            degree = None
+        if degree is None:
             raise ParseError(lineno, deg_col, "degree must be an integer, got %r" % (deg_tok,))
-        degree = int(deg_tok)
         if not 0 <= degree < DEGREE_MOD:
             raise ParseError(lineno, deg_col, "degree out of range [0, 8)")
         index[name] = len(names)

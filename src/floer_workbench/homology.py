@@ -55,9 +55,6 @@ class GradedVectorSpace:
     cycles: dict
     boundaries: dict
 
-    def nonzero_dims(self) -> dict:
-        return {r: n for r, n in sorted(self.dims.items()) if n}
-
 
 def _lift(cols: list, local: list) -> list:
     """Block-local vectors as chain vectors over all generators."""

@@ -39,7 +39,7 @@ before any member search.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .linalg import rational
@@ -61,22 +61,27 @@ class PowerTooLarge(LatticeError):
     """A well-formed 'name^k' whose k is above POWER_CAP."""
 
 
-@dataclass(frozen=True)
 class LatticeVector:
-    blocks: int
-    doubled: tuple  # 8 * blocks integers, each = 2 * coordinate
+    """A vector of `blocks` E8 blocks; immutable, hashable, equal by value.
 
-    def __post_init__(self):
-        if self.blocks < 1:
+    doubled holds 8 * blocks integers, each twice a coordinate.  A plain
+    class, so that loading this module does not load dataclasses.
+    """
+
+    __slots__ = ("blocks", "doubled")
+
+    def __init__(self, blocks: int, doubled: tuple):
+        if blocks < 1:
             raise LatticeError("need at least one block")
-        if len(self.doubled) != BLOCK * self.blocks:
+        if len(doubled) != BLOCK * blocks:
             raise LatticeError("expected %d doubled coordinates, got %d"
-                               % (BLOCK * self.blocks, len(self.doubled)))
+                               % (BLOCK * blocks, len(doubled)))
         coerced = []
-        for c in self.doubled:
+        for c in doubled:
             if isinstance(c, bool) or not isinstance(c, int):
                 raise LatticeError("doubled coordinates must be integers")
             coerced.append(c)
+        object.__setattr__(self, "blocks", blocks)
         object.__setattr__(self, "doubled", tuple(coerced))
 
     @classmethod
@@ -87,6 +92,26 @@ class LatticeVector:
         object.__setattr__(v, "blocks", blocks)
         object.__setattr__(v, "doubled", doubled)
         return v
+
+    def __setattr__(self, name, value):
+        raise AttributeError("cannot assign to field %r" % (name,))
+
+    def __delattr__(self, name):
+        raise AttributeError("cannot delete field %r" % (name,))
+
+    def __reduce__(self):
+        return LatticeVector, (self.blocks, self.doubled)
+
+    def __repr__(self) -> str:
+        return "LatticeVector(blocks=%r, doubled=%r)" % (self.blocks, self.doubled)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.blocks == other.blocks and self.doubled == other.doubled
+
+    def __hash__(self) -> int:
+        return hash((self.blocks, self.doubled))
 
     def block(self, b: int) -> tuple:
         return self.doubled[BLOCK * b:BLOCK * (b + 1)]
@@ -366,12 +391,8 @@ def is_extremal(w: LatticeVector) -> bool:
     return sum(_block_class_min(w.block(b), search) for b in range(w.blocks)) == own
 
 
-@dataclass
-class EtaResult:
-    vectors: tuple
-    count: Fraction
-    all_in_class: bool
-    extremal: bool
+# vectors: tuple, count: Fraction, all_in_class: bool, extremal: bool
+EtaResult = namedtuple("EtaResult", "vectors count all_in_class extremal")
 
 
 def eta(w: LatticeVector, keep_vectors: bool = True) -> EtaResult:

@@ -14,12 +14,7 @@ check into a list of its powers, read as A[i] for a^i.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-# The largest --max-n that poly-identities accepts.  The telescoping checks
-# for n = 1..N make about N^4/24 term products; N = 60 took 0.9 s as a
-# subprocess (Python 3.11, 2 CPUs), N = 80 took 2.4 s.
-MAX_N_CAP = 60
+from collections import namedtuple
 
 _ONE = {(0, 0, 0): 1}
 _X, _Y, _Z = {(1, 0, 0): 1}, {(0, 1, 0): 1}, {(0, 0, 1): 1}
@@ -64,11 +59,8 @@ def _sq(v: dict) -> dict:
     return _add(_mul(v, v), _ONE, -4)
 
 
-@dataclass
-class TelescopeReport:
-    n: int
-    corrected_ok: bool
-    printed_ok: bool
+# n: int, corrected_ok: bool, printed_ok: bool
+TelescopeReport = namedtuple("TelescopeReport", "n corrected_ok printed_ok")
 
 
 def verify_telescoping(n: int) -> TelescopeReport:

@@ -174,7 +174,7 @@ def test_poly_identities_refuses_max_n_above_cap(capsys, monkeypatch):
 
     monkeypatch.setattr(polyid, "verify_telescoping", fake)
     monkeypatch.setattr(polyid, "verify_triple_identity", lambda n: True)
-    cap = polyid.MAX_N_CAP
+    cap = cli.MAX_N_CAP
     for max_n in (cap + 1, 1000):
         code, out, err = run(capsys, "poly-identities", "--max-n", str(max_n))
         assert (code, out) == (1, "")
@@ -438,8 +438,9 @@ def test_disjoint_union_bytes_are_unchanged(tmp_path, capsys, monkeypatch, kind,
 
 def _count_union_work(monkeypatch):
     """Calls of disjoint_union_complex and of reduce_to_homology, from cli."""
+    homology = importlib.import_module("floer_workbench.homology")
     calls = {"union": 0, "reduce": 0}
-    union, reduce = connect_sum.disjoint_union_complex, cli.reduce_to_homology
+    union, reduce = connect_sum.disjoint_union_complex, homology.reduce_to_homology
 
     def counting_union(a, b):
         calls["union"] += 1
@@ -450,7 +451,7 @@ def _count_union_work(monkeypatch):
         return reduce(data)
 
     monkeypatch.setattr(connect_sum, "disjoint_union_complex", counting_union)
-    monkeypatch.setattr(cli, "reduce_to_homology", counting_reduce)
+    monkeypatch.setattr(homology, "reduce_to_homology", counting_reduce)
     return calls
 
 
@@ -844,14 +845,9 @@ def test_byte_identical_reruns(capsys):
         assert first == second, argv
 
 
-def test_eta_bytes_stable_across_worker_counts(capsys, monkeypatch):
-    outputs = set()
-    for threads in ("1", "2", "3"):
-        monkeypatch.setenv("FLOER_WORKBENCH_THREADS", threads)
-        outputs.add(run(capsys, "eta", "--class", "w0^2", "--list"))
-    monkeypatch.delenv("FLOER_WORKBENCH_THREADS")
-    outputs.add(run(capsys, "eta", "--class", "w0^2", "--list",
-                    "--workers", "5"))
+def test_eta_bytes_stable_across_worker_counts(capsys):
+    outputs = {run(capsys, "eta", "--class", "w0^2", "--list", *workers)
+               for workers in ((), (), ("--workers", "1"), ("--workers", "5"))}
     assert len(outputs) == 1
 
 
@@ -875,3 +871,93 @@ def test_connect_sum_usage_requires_factors(capsys):
     code, _, err = run(capsys, "connect-sum", "--a", "Pplus")
     assert code == 2
     assert "right factor" in err
+
+
+# ---------------------------------------------------------------------------
+# --json bytes, generator cap, degree tokens
+
+
+# sha256 of stdout, recorded while cli imported json and every module at
+# its own import
+@pytest.mark.parametrize("argv, digest", [
+    (("validate", "--fixture", "Pplus"),
+     "4445585cd9c1bdaf559f0af77962b515d451d945f6189f46d222bf6bad87dca5"),
+    (("homology", "--fixture", "NilpotentLadder:2"),
+     "e94acf259c1cdbef2e1acc3729c92f65984ee863787d5a53b0f47b95882ce28f"),
+    (("reduce", "--fixture", "TrefoilLikeSynthetic"),
+     "b44374338dcf94924cfb8967a89b5f43100f99168ba70c939b2b4b4757eedbe4"),
+    (("dualize", "--fixture", "Pplus"),
+     "8c2c06d5634f1dc90273e340f815bb2a080cb35cddba894e13d7dad722347134"),
+    (("connect-sum", "--a", "Pplus", "--b", "Pminus", "--homology"),
+     "98d6fdc3f333e8d14d0e0ed1a77bcf7976fe97bc135be077359fc4663d510ca1"),
+    (("disjoint-union", "--a", "NilpotentLadder:1", "--b", "NilpotentLadder:2",
+      "--homology"),
+     "c7463001aca089c599eb8990ed917f3ca496ae41484807bc7dfe3d3b3b5b3c1b"),
+    (("phi", "--fixture", "TrefoilLikeSynthetic"),
+     "0fc92b77446548bff90a1958da5c321c298c7338dd3e977ea4d414a658b80031"),
+    (("h", "--fixture", "Pplus"),
+     "69baf31d02bed2b32f1f0dfc4221f7c76dd30031ed1a5e92ee9846e20433e190"),
+    (("eta", "--class", "w0^2", "--list"),
+     "841eb26d293132dedfd8bc25e26f445b022e8f4703e2247e59edc7ad76ec46c2"),
+    (("extremal", "--class", "w0^2"),
+     "d53b55c9ef4971368b4731fe47259f5802b833d0e2d97469e6589c951f215a9e"),
+    (("verify-sum-bound", "--a", "NilpotentLadder:2", "--b", "NilpotentLadder:2"),
+     "4cd11bca62e6c388c9fd78d116a48d2c0e599fff7ea20dd1c6dc8901b54a0849"),
+    (("poly-identities", "--max-n", "3"),
+     "f89791e19ada1190e2a5344a9f014fd0e7415cf798ce02192fafb5fc779e5af3"),
+    (("fixtures",),
+     "e92504a5aee4666ae83bbb01d65d52709a01050041d8250945a83e056bdbaef5"),
+    (("fixtures", "--emit", "Pplus"),
+     "ddfb3b1d56ca8587c5992e1414ae18c988d34a1ca76650cabd00b99024ac34db"),
+], ids=lambda v: " ".join(v) if isinstance(v, tuple) else "")
+def test_json_bytes_are_unchanged(capsys, argv, digest):
+    code, out, err = run(capsys, *argv, "--json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_eta_help_states_the_lattice_caps():
+    assert cli.LATTICE_CAPS == {"power": lattice.POWER_CAP, "list": lattice.LIST_CAP}
+
+
+def test_document_above_the_generator_cap_is_refused_at_once(tmp_path):
+    # 60000 generators, each with a differential and a u line to read
+    count = 3 * fixtures.GENERATOR_CAP
+    doc = tmp_path / "huge.fx"
+    doc.write_text("kind\n  admissible\ngenerators\n"
+                   + "".join(["  g%d %d\n" % (i, i % 8) for i in range(count)])
+                   + "differential\n"
+                   + "".join(["  g%d g%d 1\n" % (i + 1, i) for i in range(0, count - 1, 8)])
+                   + "u\n" + "".join(["  g%d g%d 1\n" % (i, i) for i in range(count)])
+                   + "delta\ndelta_prime\n")
+    proc = subprocess.run([sys.executable, "-m", "floer_workbench.cli", "validate",
+                           "--file", str(doc)],
+                          capture_output=True, env=_cli_env(), timeout=20)
+    assert (proc.returncode, proc.stdout) == (1, b"")
+    assert proc.stderr.decode() == (
+        "error: line %d, column 3: more than the %d generators a document may "
+        "declare\n" % (fixtures.GENERATOR_CAP + 4, fixtures.GENERATOR_CAP))
+
+
+def test_generator_cap_admits_every_benchmark_document(tmp_path):
+    workloads = _bench_module("workloads")
+    paths = set()
+    for name in workloads.WORKLOADS:
+        jobs, _ = workloads.JOB_LISTS[name](workloads.build_inputs(name, 7, str(tmp_path)))
+        paths |= {v for job in jobs for k, v in zip(job.argv, job.argv[1:])
+                  if k.startswith("--file")}
+    assert len(paths) > 10
+    for path in sorted(paths):
+        with open(path, encoding="utf-8") as fh:
+            assert fixtures.parse(fh.read()).size <= fixtures.GENERATOR_CAP
+
+
+@pytest.mark.parametrize("token", ["--1", "²", "-²"])
+def test_degree_tokens_int_refuses_exit_one_with_their_place(tmp_path, capsys, token):
+    doc = tmp_path / "degree.fx"
+    doc.write_text("kind\n  admissible\ngenerators\n  a 0\n  b %s\n"
+                   "differential\nu\ndelta\ndelta_prime\n" % token, encoding="utf-8")
+    code, out, err = run(capsys, "validate", "--file", str(doc))
+    assert (code, out) == (1, "")
+    assert err == ("error: line 5, column 5: degree must be an integer, got %r\n"
+                   % (token,))

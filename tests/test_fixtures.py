@@ -6,7 +6,9 @@ import pytest
 
 from floer_workbench import fixtures
 from floer_workbench.complexes import Kind, validate
+from floer_workbench.connect_sum import SUM_GENERATOR_CAP
 from floer_workbench.fixtures import (
+    GENERATOR_CAP,
     ORDER_CAP,
     FixtureError,
     ParseError,
@@ -132,6 +134,45 @@ def test_parse_reports_line_and_column():
         parse("kind\n  admissible\n")  # no generators section
     with pytest.raises(ParseError):
         parse("kind\n  wrong_kind\ngenerators\n  a 0\n")
+
+
+@pytest.mark.parametrize("token", ["--1", "\u00b2", "-\u00b2"])
+def test_degree_tokens_int_refuses_are_parse_errors(token):
+    # each passes lstrip("-").isdigit(), and int() refuses it
+    doc = "kind\n  admissible\ngenerators\n  a 0\n  b %s\n" % token
+    with pytest.raises(ParseError) as exc:
+        parse(doc)
+    assert (exc.value.line, exc.value.column) == (5, 5)
+    assert str(exc.value) == ("line 5, column 5: degree must be an integer, got %r"
+                              % (token,))
+
+
+def test_decimal_digit_degrees_still_parse():
+    # int() reads any Unicode decimal digit, and parse always took them
+    doc = ("kind\n  admissible\ngenerators\n  a \u0663\n  b -0\n"
+           "differential\nu\ndelta\ndelta_prime\n")
+    assert parse(doc, check=False).complex.degrees == (3, 0)
+
+
+def _declaring(count: int, tail: str = "") -> str:
+    return ("kind\n  admissible\ngenerators\n"
+            + "".join(["  g%d 0\n" % i for i in range(count)]) + tail)
+
+
+def test_generator_cap_is_the_largest_builtin_and_sum():
+    assert GENERATOR_CAP == SUM_GENERATOR_CAP == 2 * ORDER_CAP
+    data = parse(_declaring(GENERATOR_CAP, "differential\nu\ndelta\ndelta_prime\n"),
+                 check=False)
+    assert data.size == GENERATOR_CAP
+
+
+def test_generator_cap_refuses_before_any_matrix_line():
+    # were the differential line read, its unknown target would be the error
+    with pytest.raises(ParseError) as exc:
+        parse(_declaring(GENERATOR_CAP + 1, "differential\n  g0 nobody 1\n"))
+    assert (exc.value.line, exc.value.column) == (GENERATOR_CAP + 4, 3)
+    assert str(exc.value).endswith(
+        "more than the %d generators a document may declare" % GENERATOR_CAP)
 
 
 def test_tokenize_matches_nonspace_runs():

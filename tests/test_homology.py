@@ -28,6 +28,11 @@ from floer_workbench.linalg import RatMatrix, kernel_basis, vec_add, vector
 from markowitz import markowitz_rank
 
 
+def nonzero_dims(space) -> dict:
+    """The nonzero homology dimensions of a GradedVectorSpace, by residue."""
+    return {r: n for r, n in sorted(space.dims.items()) if n}
+
+
 def random_graded_complex(rng, size):
     """A complex with a genuinely nonzero differential: pick degrees, then
     fill admissible entries (degree drop of one) with sparse rationals and
@@ -55,7 +60,7 @@ def random_graded_complex(rng, size):
 
 def test_p_plus_dims():
     space = homology(builtin("Pplus").complex)
-    assert space.nonzero_dims() == {0: 1, 4: 1}
+    assert nonzero_dims(space) == {0: 1, 4: 1}
 
 
 def test_acyclic_pair():
@@ -99,7 +104,7 @@ def test_reduce_fixed_point_and_idempotence():
     data = builtin("Pplus")
     reduced = reduce_to_homology(data)
     assert reduced.complex.differential.is_zero()
-    assert homology(reduced.complex).nonzero_dims() == {0: 1, 4: 1}
+    assert nonzero_dims(homology(reduced.complex)) == {0: 1, 4: 1}
     again = reduce_to_homology(reduced)
     assert again.complex.degrees == reduced.complex.degrees
     assert again.u == reduced.u
@@ -120,8 +125,8 @@ def test_reduce_output_validates():
         reduced_count += 1
         assert validate(reduced).ok, str(validate(reduced))
         assert reduced.complex.differential.is_zero()
-        assert (homology(data.complex).nonzero_dims()
-                == homology(reduced.complex).nonzero_dims())
+        assert (nonzero_dims(homology(data.complex))
+                == nonzero_dims(homology(reduced.complex)))
     assert reduced_count >= 10
     assert obstructed >= 1
 
