@@ -15,10 +15,10 @@ case u commutes with the differential on the nose.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from collections import namedtuple
 from fractions import Fraction
 
-from .linalg import RatMatrix, Vector, _int_product, outer
+from .linalg import RatMatrix, Vector, _int_product, outer, vector
 
 DEGREE_MOD = 8
 DUAL_DEGREE_SUM = 5
@@ -31,35 +31,58 @@ class Kind(enum.Enum):
     ADMISSIBLE = "admissible"
 
 
-@dataclass(frozen=True)
+def _frozen_setattr(self, name, value):
+    raise AttributeError("cannot assign to field %r" % (name,))
+
+
+def _frozen_delattr(self, name):
+    raise AttributeError("cannot delete field %r" % (name,))
+
+
 class GradedComplex:
     """Finite free complex over Q with generators graded mod 8.
 
     Column j of the differential is the boundary of generator j.  The
     constructor checks shape, name uniqueness, and degree range; homological
     laws (degree -1 homogeneity, squaring to zero) are the validator's job.
+    Immutable and equal by value; a plain class, so that loading this module
+    does not load dataclasses.
     """
 
-    names: tuple
-    degrees: tuple
-    differential: RatMatrix
+    __slots__ = ("names", "degrees", "differential")
 
-    def __post_init__(self):
-        object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "degrees", tuple([int(d) for d in self.degrees]))
-        n = len(self.names)
-        if len(self.degrees) != n:
+    def __init__(self, names, degrees, differential: RatMatrix):
+        names = tuple(names)
+        degrees = tuple([int(d) for d in degrees])
+        n = len(names)
+        if len(degrees) != n:
             raise ValueError("names and degrees disagree in length")
-        if len(set(self.names)) != n:
+        if len(set(names)) != n:
             raise ValueError("duplicate generator names")
-        for name in self.names:
+        for name in names:
             if name.split() != [name]:
                 raise ValueError("generator names must be nonempty and contain no spaces")
-        for d in self.degrees:
+        for d in degrees:
             if not isinstance(d, int) or not 0 <= d < DEGREE_MOD:
                 raise ValueError("degrees must be integers in [0, %d)" % DEGREE_MOD)
-        if self.differential.rows != n or self.differential.cols != n:
+        if differential.rows != n or differential.cols != n:
             raise ValueError("differential shape does not match generator count")
+        object.__setattr__(self, "names", names)
+        object.__setattr__(self, "degrees", degrees)
+        object.__setattr__(self, "differential", differential)
+
+    __setattr__ = _frozen_setattr
+    __delattr__ = _frozen_delattr
+
+    def __repr__(self) -> str:
+        return "%s(names=%r, degrees=%r, differential=%r)" % (
+            type(self).__qualname__, self.names, self.degrees, self.differential)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.names, self.degrees, self.differential)
+                == (other.names, other.degrees, other.differential))
 
     @property
     def size(self) -> int:
@@ -82,46 +105,58 @@ class GradedComplex:
         return [i for i, d in enumerate(self.degrees) if d == r]
 
 
-@dataclass(frozen=True, eq=True)
 class FloerData:
-    """A graded complex plus (u, delta, delta_prime, kind)."""
+    """A graded complex plus (u, delta, delta_prime, kind).
 
-    complex: GradedComplex
-    u: RatMatrix
-    delta: dict = field(default_factory=dict)        # functional, index -> Fraction
-    delta_prime: dict = field(default_factory=dict)  # vector, index -> Fraction
-    kind: Kind = Kind.HOMOLOGY_SPHERE
+    delta is a functional and delta_prime a vector, both index -> Fraction
+    with zeros dropped.  Immutable and equal by value, like GradedComplex;
+    _valid is require_valid's mark, which takes no part in equality.
+    """
 
-    def __post_init__(self):
-        n = self.complex.size
-        if self.u.rows != n or self.u.cols != n:
+    __slots__ = ("complex", "u", "delta", "delta_prime", "kind", "_valid")
+
+    def __init__(self, complex: GradedComplex, u: RatMatrix, delta=None,
+                 delta_prime=None, kind: Kind = Kind.HOMOLOGY_SPHERE):
+        n = complex.size
+        if u.rows != n or u.cols != n:
             raise ValueError("u shape does not match generator count")
-        from .linalg import vector as _vec
-        object.__setattr__(self, "delta", _vec(self.delta))
-        object.__setattr__(self, "delta_prime", _vec(self.delta_prime))
-        for v in (self.delta, self.delta_prime):
+        delta, delta_prime = vector(delta or {}), vector(delta_prime or {})
+        for v in (delta, delta_prime):
             for idx in v:
                 if not isinstance(idx, int) or not 0 <= idx < n:
                     raise ValueError("functional/vector index out of range")
+        for name, value in (("complex", complex), ("u", u), ("delta", delta),
+                            ("delta_prime", delta_prime), ("kind", kind)):
+            object.__setattr__(self, name, value)
+
+    __setattr__ = _frozen_setattr
+    __delattr__ = _frozen_delattr
+
+    def __repr__(self) -> str:
+        return "%s(complex=%r, u=%r, delta=%r, delta_prime=%r, kind=%r)" % (
+            type(self).__qualname__, self.complex, self.u, self.delta,
+            self.delta_prime, self.kind)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.complex, self.u, self.delta, self.delta_prime, self.kind)
+                == (other.complex, other.u, other.delta, other.delta_prime, other.kind))
 
     @property
     def size(self) -> int:
         return self.complex.size
 
 
-@dataclass
-class Violation:
-    invariant: str
-    detail: str
+class Violation(namedtuple("Violation", "invariant detail")):
+    __slots__ = ()
 
     def __str__(self):
         return "%s: %s" % (self.invariant, self.detail)
 
 
-@dataclass
-class ValidationReport:
-    ok: bool
-    violations: list
+class ValidationReport(namedtuple("ValidationReport", "ok violations")):
+    __slots__ = ()
 
     def __str__(self):
         if self.ok:
@@ -144,7 +179,7 @@ def _entry_names(cx: GradedComplex, key) -> str:
 
 def _degree_check(cx: GradedComplex, m: RatMatrix, shift: int, label: str, out: list):
     bad = []
-    for (r, c) in sorted(m.entries):
+    for (r, c) in sorted(m._ints):
         if cx.degrees[r] != (cx.degrees[c] + shift) % DEGREE_MOD:
             bad.append(_entry_names(cx, (r, c)))
     if bad:
@@ -153,8 +188,8 @@ def _degree_check(cx: GradedComplex, m: RatMatrix, shift: int, label: str, out: 
 
 def _matrix_zero_check(cx: GradedComplex, m: RatMatrix, label: str, detail: str, out: list):
     if not m.is_zero():
-        keys = sorted(m.entries)[:6]
-        shown = ", ".join("(%s) = %s" % (_entry_names(cx, k), m.entries[k]) for k in keys)
+        keys = sorted(m._ints)[:6]
+        shown = ", ".join("(%s) = %s" % (_entry_names(cx, k), m[k]) for k in keys)
         out.append(Violation(label, "%s; nonzero at %s" % (detail, shown)))
 
 
@@ -169,8 +204,8 @@ def u_chain_residual(data: FloerData) -> RatMatrix:
 def _chain_relations(data: FloerData) -> tuple:
     """(d u = u d, u_chain_residual(data) = 0), decided on integer products.
 
-    d @ u and u @ d share the denominator den = den_d * den_u of their
-    integer forms, so d u - u d vanishes where their integer accumulators
+    d @ u and u @ d share the denominator den = d.den * u.den of their
+    integer products, so d u - u d vanishes where their integer accumulators
     agree, and the residual vanishes when they agree off the support of
     delta_prime . delta and, at each key of it, (du - ud) / den plus half
     the composite's entry is zero.  Fractions are formed at those keys only.
@@ -180,7 +215,7 @@ def _chain_relations(data: FloerData) -> tuple:
     commutes = du == ud
     if not (data.delta and data.delta_prime):
         return commutes, commutes
-    den = d._integer_form()[0] * u._integer_form()[0]
+    den = d.den * u.den
     chain_ok = True
     for r, a in data.delta_prime.items():
         for c, b in data.delta.items():
@@ -245,7 +280,7 @@ def require_valid(data: FloerData) -> None:
     only, so an equal but distinct object is validated afresh, and one that
     fails raises on every call.
     """
-    if vars(data).get("_valid"):
+    if getattr(data, "_valid", False):
         return
     report = _validate_and_mark(data)
     if not report.ok:
@@ -300,15 +335,14 @@ def structurally_equal(a: FloerData, b: FloerData) -> bool:
         order = sorted(range(d.size), key=lambda i: (d.complex.degrees[i], d.complex.names[i]))
         pos = {old: new for new, old in enumerate(order)}
 
-        def remap_matrix(m: RatMatrix) -> RatMatrix:
-            return RatMatrix(m.rows, m.cols,
-                             {(pos[r], pos[c]): v for (r, c), v in m.entries.items()})
+        def remap_matrix(m: RatMatrix) -> tuple:
+            return m.den, {(pos[r], pos[c]): v for (r, c), v in m._ints.items()}
 
         def remap_vec(v: Vector) -> Vector:
             return {pos[i]: val for i, val in v.items()}
 
         degrees = tuple([d.complex.degrees[i] for i in order])
-        return (degrees, remap_matrix(d.complex.differential).entries,
-                remap_matrix(d.u).entries, remap_vec(d.delta), remap_vec(d.delta_prime))
+        return (degrees, remap_matrix(d.complex.differential), remap_matrix(d.u),
+                remap_vec(d.delta), remap_vec(d.delta_prime))
 
     return normal(a) == normal(b)

@@ -85,7 +85,7 @@ from .complexes import (DEGREE_MOD, FloerData, GradedComplex, Kind,
                         require_valid)
 from .invariants import NotNilpotent, n_map, nilpotency_order
 from .linalg import (LinearSolver, RatMatrix, Vector, dot, kernel_basis,
-                     solve_columns, vec_add, vec_scale, vec_sub)
+                     solve_columns, vec_sub)
 
 
 class SignSearchError(ValueError):
@@ -152,7 +152,8 @@ class _Assembly:
     pairs (i, j) run i major: S1's pair sits at i * nb + j and S4's at
     o4 + i * nb + j; S2's left generator i sits at o2 + i and S3's right
     generator j at o3 + j.  `diagonal` and the `cross` blocks (keyed by sign
-    name) are full-size matrices with disjoint supports.
+    name) are full-size blocks with disjoint supports, each a dict (row,
+    col) -> den * entry over the one denominator `den`.
     """
 
     def __init__(self, a: FloerData, b: FloerData, theta_right: bool,
@@ -177,59 +178,74 @@ class _Assembly:
                         + list(ad[:n2]) + list(bd[:n3])
                         + [(ad[i] + bd[j] + 3) % DEGREE_MOD for i, j in pairs])
 
-        # v, -v and the scaled values are formed once per factor entry;
+        # one den for every block, so that D(s) is a union of dicts; v, -v
+        # and the scaled values are formed once per factor entry, and
         # signed[flip[i]] is v times the Koszul sign past left generator i
+        da, db = a.complex.differential, b.complex.differential
+        functionals = (a.delta, b.delta, a.delta_prime, b.delta_prime)
+        p, q = u_scale.numerator, u_scale.denominator
+        den = math.lcm(da.den, db.den, a.u.den * q, b.u.den * q,
+                       *[v.denominator for f in functionals for v in f.values()])
+        a_delta, b_delta, a_prime, b_prime = [
+            {i: v.numerator * (den // v.denominator) for i, v in f.items()}
+            for f in functionals]
         flip = [deg % 2 for deg in ad]
         diagonal, x12, x13, x14, x24, x34 = {}, {}, {}, {}, {}, {}
-        for (r, c), v in a.complex.differential.entries.items():
+        lift = den // da.den
+        for (r, c), v in da._ints.items():
+            v *= lift
             neg = -v
             for j in range(nb):
                 diagonal[r * nb + j, c * nb + j] = v
                 diagonal[o4 + r * nb + j, o4 + c * nb + j] = neg
             if n2:
                 diagonal[o2 + r, o2 + c] = v
-        for (r, c), v in b.complex.differential.entries.items():
+        lift = den // db.den
+        for (r, c), v in db._ints.items():
+            v *= lift
             signed = (v, -v)
             for i in range(na):
                 diagonal[i * nb + r, i * nb + c] = signed[flip[i]]
                 diagonal[o4 + i * nb + r, o4 + i * nb + c] = signed[1 - flip[i]]
             if n3:
                 diagonal[o3 + r, o3 + c] = v
-        for (r, c), v in a.u.entries.items():
-            scaled = u_scale * v
+        lift = p * (den // (a.u.den * q))
+        for (r, c), v in a.u._ints.items():
+            scaled = lift * v
             for j in range(nb):
                 x14[o4 + r * nb + j, c * nb + j] = scaled
-        for (r, c), v in b.u.entries.items():
-            scaled = -u_scale * v
+        lift = -p * (den // (b.u.den * q))
+        for (r, c), v in b.u._ints.items():
+            scaled = lift * v
             for i in range(na):
                 x14[o4 + i * nb + r, i * nb + c] = scaled
-        for j, v in b.delta.items():
+        for j, v in b_delta.items():
             signed = (v, -v)
             for i in range(n2):
                 x12[o2 + i, i * nb + j] = signed[flip[i]]
-        for i, v in a.delta.items():
+        for i, v in a_delta.items():
             for j in range(n3):
                 x13[o3 + j, i * nb + j] = v
-        for s, v in b.delta_prime.items():
+        for s, v in b_prime.items():
             for i in range(n2):
                 x24[o4 + i * nb + s, o2 + i] = v
-        for r, v in a.delta_prime.items():
+        for r, v in a_prime.items():
             for j in range(n3):
                 x34[o4 + r * nb + j, o3 + j] = v
         # validated factors give nonzero entries at distinct in-range positions
-        self.diagonal = RatMatrix._trusted(self.size, self.size, diagonal)
-        self.cross = {name: RatMatrix._trusted(self.size, self.size, ent)
-                      for name, ent in zip(SIGN_NAMES, (x12, x13, x14, x24, x34))}
+        self.den = den
+        self.diagonal = diagonal
+        self.cross = dict(zip(SIGN_NAMES, (x12, x13, x14, x24, x34)))
 
     def differential(self, signs: SignConfig) -> RatMatrix:
         """D(s): the diagonal block and each cross block times its sign."""
-        ent = dict(self.diagonal.entries)
+        ent = dict(self.diagonal)
         for name, block in self.cross.items():
             if getattr(signs, name) == 1:
-                ent.update(block.entries)
+                ent.update(block)
             else:
-                ent.update((key, -v) for key, v in block.entries.items())
-        return RatMatrix._trusted(self.size, self.size, ent)
+                ent.update((key, -v) for key, v in block.items())
+        return RatMatrix._trusted(self.size, self.size, ent, self.den)
 
     def square_terms(self) -> dict:
         """The nonzero T_m of D(s)^2 = sum over m of (prod_{k in m} s_k) T_m.
@@ -239,6 +255,8 @@ class _Assembly:
         """
         blocks = [(frozenset(), self.diagonal)]
         blocks += [(frozenset((name,)), x) for name, x in self.cross.items()]
+        blocks = [(m, RatMatrix._trusted(self.size, self.size, x, self.den))
+                  for m, x in blocks]
         terms, zero = {}, RatMatrix.zero(self.size, self.size)
         for (m, x), (n, y) in itertools.product(blocks, repeat=2):
             terms[m ^ n] = terms.get(m ^ n, zero) + x @ y
@@ -248,7 +266,7 @@ class _Assembly:
         """Every block entry lowers degree by one.  The blocks' supports
         make up the support of every D(s), in D(s)'s entry order."""
         for block in (self.diagonal, *self.cross.values()):
-            for (r, c) in block.entries:
+            for (r, c) in block:
                 if self.degrees[r] != (self.degrees[c] - 1) % DEGREE_MOD:
                     raise SignSearchError(
                         "construction produced an off-degree entry %s <- %s"
@@ -320,11 +338,12 @@ def _orbit_verdicts(terms: dict) -> dict:
     for signs in _FAMILY:
         key = _orbit_class(signs)
         if key not in verdicts:
-            square = {}
+            square = None
             for m, t in terms.items():
-                sign = math.prod(getattr(signs, name) for name in m)
-                square = vec_add(square, vec_scale(sign, t.entries))
-            verdicts[key] = not square
+                if math.prod(getattr(signs, name) for name in m) < 0:
+                    t = -t
+                square = t if square is None else square + t
+            verdicts[key] = square is None or square.is_zero()
     return verdicts
 
 
@@ -379,16 +398,16 @@ def extended_u(cs: ConnectSumComplex) -> RatMatrix:
         raise ValueError("extended u is defined on two-summand complexes")
     nb, o4, n = cs.right.size, cs.offsets[3], cs.total.size
     ent = {}
-    for (r, c), v in cs.left.u.entries.items():
+    for (r, c), v in cs.left.u._ints.items():
         for j in range(nb):
             ent[(r * nb + j, c * nb + j)] = v
             ent[(o4 + r * nb + j, o4 + c * nb + j)] = v
-    return RatMatrix._trusted(n, n, ent)
+    return RatMatrix._trusted(n, n, ent, cs.left.u.den)
 
 
 def _factor_apply(op: RatMatrix, axis: int, tensor: dict) -> dict:
     """Apply an even-degree operator to one slot of a tensor dict."""
-    by_col = op._column_view()
+    by_col = op._column_view()  # den * op, as integers
     out = {}
     for key, coeff in tensor.items():
         for r, v in by_col.get(key[axis], {}).items():
@@ -398,6 +417,8 @@ def _factor_apply(op: RatMatrix, axis: int, tensor: dict) -> dict:
                 out[new_key] = s
             else:
                 out.pop(new_key, None)
+    if op.den != 1:
+        return {key: s / op.den for key, s in out.items()}
     return out
 
 
@@ -449,9 +470,8 @@ def kernel_symmetry_check(cs: ConnectSumComplex, cycles: list) -> bool:
     degrees = cs.total.degrees
     targets = {degrees[p] for w in differences for p in w}
     solver = LinearSolver()
-    for c, deg in enumerate(degrees):
-        if (deg - 1) % DEGREE_MOD in targets:
-            solver.add(diff.column(c))
+    solver._add_columns(diff, [c for c, deg in enumerate(degrees)
+                               if (deg - 1) % DEGREE_MOD in targets])
     return all(solver.contains(w) for w in differences)
 
 
@@ -468,9 +488,9 @@ def _odd_n_map(data: FloerData, n_op: RatMatrix) -> RatMatrix:
     """n_op restricted to the generators in degrees 1 and 5."""
     sub = sorted(data.complex.indices_in_degree(1) + data.complex.indices_in_degree(5))
     local = {g: t for t, g in enumerate(sub)}
-    return RatMatrix(len(sub), len(sub),
-                     {(local[r], local[c]): v for (r, c), v in n_op.entries.items()
-                      if r in local and c in local})
+    return RatMatrix._trusted(len(sub), len(sub),
+                              {(local[r], local[c]): v for (r, c), v in n_op._ints.items()
+                               if r in local and c in local}, n_op.den)
 
 
 def _kernel_cycle(factors, first: Vector, rest, n: int) -> dict:

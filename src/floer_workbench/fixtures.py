@@ -30,11 +30,12 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Tuple
 
 from .complexes import (DEGREE_MOD, FloerData, GradedComplex, Kind,
                         _validate_and_mark)
-from .linalg import RatMatrix, Vector, invert, rational
+from .linalg import RatMatrix, Vector, _rational_parts, invert, rational
 
 SECTION_NAMES = ("kind", "generators", "differential", "u", "delta", "delta_prime")
 
@@ -85,14 +86,18 @@ def _ladder(n: int, top, bottom, c, top_first: bool, **fields) -> FloerData:
     names = tuple([fmt.format(j) for fmt, _ in rows for j in range(1, n + 1)])
     degrees = tuple([degree for _, degree in rows for _ in range(n)])
     t, b = (0, n) if top_first else (n, 0)
-    entries = {}
+    # u = ints / den, with den the denominator of c
+    c = rational(c)
+    den, two, c = c.denominator, 2 * c.denominator, c.numerator
+    ints = {}
     for j in range(n):
-        entries[(b + j, t + j)] = 2
-        entries[(t + j, b + j)] = c
+        ints[(b + j, t + j)] = two
+        if c:
+            ints[(t + j, b + j)] = c
         if j + 1 < n:
-            entries[(t + j + 1, b + j)] = 2
+            ints[(t + j + 1, b + j)] = two
     cx = GradedComplex(names, degrees, RatMatrix.zero(2 * n, 2 * n))
-    return FloerData(cx, RatMatrix(2 * n, 2 * n, entries), **fields)
+    return FloerData(cx, RatMatrix._trusted(2 * n, 2 * n, ints, den), **fields)
 
 
 # refused before anything is built: at the cap a ladder has 20000
@@ -415,10 +420,11 @@ def serialize(data: FloerData) -> str:
         lines.append("  %s %d" % (name, degree))
 
     def matrix_lines(m: RatMatrix) -> list:
-        out = []
-        for (r, c) in sorted(m.entries, key=lambda k: (k[1], k[0])):
-            out.append("  %s %s %s" % (cx.names[c], cx.names[r], m.entries[(r, c)]))
-        return out
+        # an integer prints as the Fraction of its value does
+        ints, den = m._ints, m.den
+        return ["  %s %s %s" % (cx.names[c], cx.names[r],
+                                ints[r, c] if den == 1 else Fraction(ints[r, c], den))
+                for (r, c) in sorted(ints, key=lambda k: (k[1], k[0]))]
 
     lines.append("differential")
     lines.extend(matrix_lines(cx.differential))
@@ -450,10 +456,11 @@ def _tokenize(line: str) -> list:
     return out
 
 
-def _parse_rational_token(token: str, lineno: int, column: int) -> Fraction:
+def _parse_rational_token(token: str, lineno: int, column: int) -> tuple:
+    """(p, q) with q >= 1 and token = p/q, not reduced."""
     try:
-        return rational(token)
-    except (ValueError, TypeError):
+        return _rational_parts(token)
+    except ValueError:
         raise ParseError(lineno, column,
                          "expected an exact rational 'p' or 'p/q', got %r" % (token,)) from None
 
@@ -539,17 +546,21 @@ def parse(text: str, check: bool = True) -> FloerData:
     n = len(names)
 
     def read_matrix(section: str) -> RatMatrix:
-        entries = {}
+        # (p, q) per entry, zeros kept until the duplicate checks are done
+        parts = {}
         for lineno, tokens in sections[section]:
             if len(tokens) != 3:
                 col = tokens[-1][1]
                 raise ParseError(lineno, col, "%s lines read: source target coefficient" % section)
             (src, src_col), (dst, dst_col), (val, val_col) = tokens
             key = (gen_index(dst, lineno, dst_col), gen_index(src, lineno, src_col))
-            if key in entries:
+            if key in parts:
                 raise ParseError(lineno, src_col, "duplicate %s entry %s -> %s" % (section, src, dst))
-            entries[key] = _parse_rational_token(val, lineno, val_col)
-        return RatMatrix(n, n, entries)
+            parts[key] = _parse_rational_token(val, lineno, val_col)
+        # den: the lcm of the reduced denominators
+        den = lcm(*[q // gcd(p, q) for p, q in parts.values()])
+        return RatMatrix._trusted(n, n, {key: p * den // q
+                                         for key, (p, q) in parts.items() if p}, den)
 
     def read_vector(section: str) -> Vector:
         vec = {}
@@ -561,7 +572,7 @@ def parse(text: str, check: bool = True) -> FloerData:
             i = gen_index(name_tok, lineno, name_col)
             if i in vec:
                 raise ParseError(lineno, name_col, "duplicate %s entry %s" % (section, name_tok))
-            vec[i] = _parse_rational_token(val, lineno, val_col)
+            vec[i] = Fraction(*_parse_rational_token(val, lineno, val_col))
         return vec
 
     data = FloerData(

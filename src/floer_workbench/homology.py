@@ -97,7 +97,7 @@ def _rank_counts(cx: GradedComplex) -> tuple:
     boundaries = dict.fromkeys(range(DEGREE_MOD), 0)
     degrees = cx.degrees
     row_groups = {}
-    for r, line in cx.differential._integer_form()[1].items():
+    for r, line in cx.differential._row_view().items():
         row_groups.setdefault(degrees[r], []).append(line)
     for r, n in cx.dims_by_degree().items():
         below = (r - 1) % DEGREE_MOD
@@ -204,7 +204,7 @@ def reduce_to_homology(data: FloerData) -> FloerData:
     cx = data.complex
     composite = outer(data.delta_prime, data.delta, cx.size, cx.size)
     if not composite.is_zero():
-        key = sorted(composite.entries)[0]
+        key = min(composite._ints)
         raise DescentObstruction(
             "delta_prime . delta != 0 (e.g. %s -> %s), u does not descend"
             % (cx.names[key[1]], cx.names[key[0]]))

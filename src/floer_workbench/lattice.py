@@ -39,10 +39,9 @@ before any member search.
 from __future__ import annotations
 
 import math
+import re
 from collections import namedtuple
 from fractions import Fraction
-
-from .linalg import rational
 
 BLOCK = 8
 # The most vectors `eta` lists: 16^4, the w0^4 class.  Counting has no cap.
@@ -117,18 +116,41 @@ class LatticeVector:
         return self.doubled[BLOCK * b:BLOCK * (b + 1)]
 
 
+# the literals linalg.rational reads; repeated here so that loading this
+# module does not load linalg
+_RATIONAL_RE = re.compile(r"^(-?\d+)(?:/([1-9]\d*))?$")
+
+
+def _rational_parts(c) -> tuple:
+    """(p, q) with c = p/q and q >= 1, for the values linalg.rational
+    accepts, with its exceptions for the others."""
+    if isinstance(c, Fraction):
+        return c.numerator, c.denominator
+    if isinstance(c, int):
+        return c, 1
+    if isinstance(c, str):
+        match = _RATIONAL_RE.match(c.strip())
+        if match is None:
+            raise ValueError("not an exact rational literal: %r" % (c,))
+        p, q = match.groups()
+        return int(p), int(q) if q else 1
+    raise TypeError("cannot coerce %r to a rational" % (c,))
+
+
 def from_coords(coords) -> LatticeVector:
-    """Build a vector from exact rational coordinates (multiples of 1/2)."""
-    vals = [rational(c) for c in coords]
-    if len(vals) % BLOCK:
+    """Build a vector from exact rational coordinates (multiples of 1/2):
+    ints, Fractions or 'p' and 'p/q' strings, each read straight to twice
+    its value."""
+    parts = [_rational_parts(c) for c in coords]
+    if len(parts) % BLOCK:
         raise LatticeError("coordinate count must be a multiple of 8")
     doubled = []
-    for v in vals:
-        d = 2 * v
-        if d.denominator != 1:
-            raise LatticeError("coordinate %s is not a multiple of 1/2" % (v,))
-        doubled.append(int(d))
-    return LatticeVector(len(vals) // BLOCK, tuple(doubled))
+    for p, q in parts:
+        d, rem = divmod(2 * p, q)
+        if rem:
+            raise LatticeError("coordinate %s is not a multiple of 1/2" % (Fraction(p, q),))
+        doubled.append(d)
+    return LatticeVector(len(parts) // BLOCK, tuple(doubled))
 
 
 def zero(blocks: int) -> LatticeVector:

@@ -1,42 +1,40 @@
 """Sparse exact linear algebra over the rationals.
 
 Vectors are plain dicts mapping index -> Fraction, with zero entries never
-stored.  Matrices are immutable sparse maps (row, col) -> Fraction; each
-builds its column-major and row-major views once, on first use, since an
-instance never changes.  All eliminations are exact; nothing in this package
-ever touches a float.
+stored.  A matrix is stored once, as integers: den, the lcm of its entries'
+reduced denominators, and the nonzero integers den * value keyed (row, col)
+in insertion order, with integer row and column views built once, on first
+use.  The pair is canonical, so equal matrices hold equal pairs.  Nothing in
+this package ever touches a float.
 
-A matrix also builds, once and on first use, an integer form: the lcm den
-of its entries' denominators and the integer rows of den times the matrix,
-in the row view's order.  _int_product(a, b) multiplies two integer forms
-and returns the integer accumulator, den_a * den_b * (a @ b); products (@)
-divide it by that denominator, one Fraction per output entry.  Identity
-certificates compare accumulators instead: a @ b and b @ a share the
-denominator den_a * den_b, so they are equal exactly when their
-accumulators are, and complexes.validate decides the u chain relation the
-same way.  rank eliminates copies of the integer rows, and so can any group
-of them (_row_rank), such as the rows of one degree that
-homology._rank_counts ranks in place of a column block.  The public
-constructor coerces and bounds-checks every entry, but matrices built from
-other matrices' entries (sums, differences, scalings, transposes, products,
-column blocks, the connected-sum blocks) skip both through
-RatMatrix._trusted.
+Documents and builtins read coefficients straight to integers, and sums,
+differences, scalings, transposes, products, column blocks and the
+connected-sum blocks combine integers, dividing den and the entries by
+their gcd (RatMatrix._trusted).  _int_product(a, b) returns the integer
+accumulator a.den * b.den * (a @ b).  Identity certificates compare
+accumulators: a @ b and b @ a share that denominator, so they are equal
+exactly when their accumulators are, and complexes.validate decides the u
+chain relation the same way.  Fractions are built only for values that
+leave this form: the entries view, single entries and columns, the vectors
+apply and the eliminators return, reports and documents.
 
 There is one exact eliminator, _insert, and it keeps every entry an
-integer: each incoming row is scaled once to an integer row, reduced at the
-pivots it hits with fraction-free updates row := p*row - c*other followed by
-division by the gcd of its entries and, when a nonnegative index survives,
-stored under the smallest one and back-substituted into the other rows.
-Each stored row is a multiple of a row of the reduced row echelon form of
-the span, so results do not depend on the row order or on the elimination
-path.  rref_rows, kernel_basis and image_basis read that basis;
+integer: each row, a matrix's integer line or a rational vector cleared of
+denominators once, is reduced at the pivots it hits with fraction-free
+updates row := p*row - c*other followed by division by the gcd of its
+entries and, when a nonnegative index survives, stored under the smallest
+one and back-substituted into the other rows.  Each stored row is a
+multiple of a row of the reduced row echelon form of the span, so results
+depend neither on the order, the path nor the positive scale of the input
+rows.  rref_rows, kernel_basis and image_basis read that basis;
 LinearSolver keeps one incrementally, with each row's expression over the
-added vectors riding along under negative keys.  rank needs no canonical
-basis: it runs the same integer row updates forward only, in echelon form
-without back-substitution, and counts the rows kept.  Fractions are built
-only for returned values.  The independent check on both is a Fraction
-elimination with Markowitz pivoting, kept with the tests
-(tests/markowitz.py).
+added vectors riding along under negative keys.  rank runs the same
+updates forward only, without back-substitution, and counts the rows kept;
+so can any group of a matrix's rows (_row_rank), such as the rows of one
+degree that homology._rank_counts ranks.  The independent checks, kept with
+the tests, are a Fraction elimination with Markowitz pivoting
+(tests/markowitz.py) and a Fraction reference of every matrix operation
+(tests/fraction_matmul.py).
 """
 
 from __future__ import annotations
@@ -59,14 +57,19 @@ def rational(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
-        match = _RATIONAL_RE.match(value.strip())
-        if match is None:
-            raise ValueError("not an exact rational literal: %r" % (value,))
-        # the pattern admits only what int() reads, so Fraction(str) would
-        # read the same two integers again
-        p, q = match.groups()
-        return Fraction(int(p), int(q)) if q else Fraction(int(p))
+        return Fraction(*_rational_parts(value))
     raise TypeError("cannot coerce %r to a rational" % (value,))
+
+
+def _rational_parts(text: str) -> tuple:
+    """(p, q) with q >= 1 and rational(text) = p/q, not reduced."""
+    match = _RATIONAL_RE.match(text.strip())
+    if match is None:
+        raise ValueError("not an exact rational literal: %r" % (text,))
+    # the pattern admits only what int() reads, so Fraction(str) would read
+    # the same two integers again
+    p, q = match.groups()
+    return int(p), int(q) if q else 1
 
 
 def vector(entries: Mapping) -> Vector:
@@ -114,16 +117,15 @@ def dot(f: Vector, v: Vector) -> Fraction:
 
 
 class RatMatrix:
-    """Immutable sparse rational matrix.
+    """Immutable sparse rational matrix, held as den and _ints, (row, col)
+    -> den * value, nonzero, in insertion order; gcd(den, *_ints) is 1.
 
-    entries maps (row, col) -> nonzero Fraction.  Construction drops zeros
-    and validates index bounds; afterwards instances are treated as frozen,
-    which is what makes the lazily built line views and integer form safe
-    to cache.  Matrices the package builds from other matrices' entries go
-    through _trusted instead, which skips both.
+    entries is a Fraction view, built on each access.  Construction drops
+    zeros and validates index bounds; instances are frozen afterwards,
+    which makes the lazily built line views safe to cache.
     """
 
-    __slots__ = ("rows", "cols", "entries", "_by_col", "_by_row", "_int")
+    __slots__ = ("rows", "cols", "den", "_ints", "_by_row", "_by_col")
 
     def __init__(self, rows: int, cols: int, entries: Optional[Mapping] = None):
         if rows < 0 or cols < 0:
@@ -132,64 +134,73 @@ class RatMatrix:
         for (r, c), val in (entries or {}).items():
             if not (0 <= r < rows and 0 <= c < cols):
                 raise IndexError("entry (%d, %d) outside %dx%d" % (r, c, rows, cols))
-            q = rational(val)
+            q = val if isinstance(val, int) else rational(val)
             if q:
                 clean[(r, c)] = q
-        self._fill(rows, cols, clean)
+        den = lcm(*[q.denominator for q in clean.values()])
+        self._fill(rows, cols, den, {key: q.numerator * (den // q.denominator)
+                                     for key, q in clean.items()})
 
     @classmethod
-    def _trusted(cls, rows: int, cols: int, entries: dict) -> "RatMatrix":
-        """A matrix on entries already known to be nonzero Fractions inside
-        the shape, taken as they are."""
+    def _trusted(cls, rows: int, cols: int, ints: dict, den: int = 1) -> "RatMatrix":
+        """The matrix ints / den, on nonzero integers known to lie inside the
+        shape, taken as they are; den > 0 is reduced to the canonical one."""
+        if den != 1:
+            g = gcd(den, *ints.values())
+            if g != 1:
+                den //= g
+                ints = {key: v // g for key, v in ints.items()}
         m = object.__new__(cls)
-        m._fill(rows, cols, entries)
+        m._fill(rows, cols, den, ints)
         return m
 
-    def _fill(self, rows: int, cols: int, entries: dict) -> None:
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "_by_col", None)
-        object.__setattr__(self, "_by_row", None)
-        object.__setattr__(self, "_int", None)
+    def _fill(self, rows: int, cols: int, den: int, ints: dict) -> None:
+        for name, value in zip(self.__slots__, (rows, cols, den, ints, None, None)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("RatMatrix is immutable")
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "RatMatrix":
-        return cls(rows, cols, {})
+        return cls(rows, cols)
 
     @classmethod
     def identity(cls, n: int) -> "RatMatrix":
-        return cls(n, n, {(i, i): Fraction(1) for i in range(n)})
+        return cls(n, n, {(i, i): 1 for i in range(n)})
+
+    @property
+    def entries(self) -> dict:
+        """(row, col) -> nonzero Fraction, in insertion order; a new dict on
+        each access."""
+        den = self.den
+        return {key: Fraction(v, den) for key, v in self._ints.items()}
 
     def __getitem__(self, key) -> Fraction:
-        return self.entries.get(key, Fraction(0))
+        return Fraction(self._ints.get(key, 0), self.den)
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, RatMatrix)
-            and self.rows == other.rows
-            and self.cols == other.cols
-            and self.entries == other.entries
-        )
+        return (isinstance(other, RatMatrix)
+                and (self.rows, self.cols, self.den) == (other.rows, other.cols, other.den)
+                and self._ints == other._ints)
 
     def is_zero(self) -> bool:
-        return not self.entries
+        return not self._ints
 
     def _merge(self, other: "RatMatrix", op) -> "RatMatrix":
         """Entrywise op(self, other); other's new keys follow self's in order."""
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("shape mismatch in %s" % op.__name__)
-        entries = dict(self.entries)
-        for key, val in other.entries.items():
-            s = op(entries.get(key, 0), val)
+        den = lcm(self.den, other.den)
+        fa, fb = den // self.den, den // other.den
+        ints = {key: fa * v for key, v in self._ints.items()}
+        for key, v in other._ints.items():
+            s = op(ints.get(key, 0), fb * v)
             if s:
-                entries[key] = s
+                ints[key] = s
             else:
-                entries.pop(key, None)
-        return RatMatrix._trusted(self.rows, self.cols, entries)
+                ints.pop(key, None)
+        return RatMatrix._trusted(self.rows, self.cols, ints, den)
 
     def __add__(self, other: "RatMatrix") -> "RatMatrix":
         return self._merge(other, operator.add)
@@ -204,76 +215,64 @@ class RatMatrix:
         c = rational(c)
         if not c:
             return RatMatrix.zero(self.rows, self.cols)
+        p = c.numerator
         return RatMatrix._trusted(self.rows, self.cols,
-                                  {k: c * v for k, v in self.entries.items()})
+                                  {k: p * v for k, v in self._ints.items()},
+                                  self.den * c.denominator)
 
     def transpose(self) -> "RatMatrix":
         return RatMatrix._trusted(self.cols, self.rows,
-                                  {(c, r): v for (r, c), v in self.entries.items()})
+                                  {(c, r): v for (r, c), v in self._ints.items()}, self.den)
 
     def __matmul__(self, other: "RatMatrix") -> "RatMatrix":
-        """The product, summed on integer numerators over the common
-        denominator of both integer forms (_int_product).  Entries come out
-        in the order a Fraction loop over self's entries and other's rows
-        would insert them: the partial sums are the same up to that positive
-        factor, so the same ones vanish."""
+        """The product, summed on integer entries over the denominator
+        self.den * other.den (_int_product).  Entries come out in the order
+        a Fraction loop over self's entries and other's rows would insert
+        them: the partial sums are the same up to that positive factor, so
+        the same ones vanish."""
         if self.cols != other.rows:
             raise ValueError("shape mismatch in matmul")
-        den = self._integer_form()[0] * other._integer_form()[0]
-        return RatMatrix._trusted(self.rows, other.cols,
-                                  {key: Fraction(s, den)
-                                   for key, s in _int_product(self, other).items()})
-
-    def _integer_form(self) -> tuple:
-        """(den, row -> {col: den * value}), rows in the row view's order.
-
-        den is the lcm of the entries' denominators.  Built once.
-        """
-        if self._int is None:
-            den = lcm(*[v.denominator for v in self.entries.values()])
-            ints = {key: v.numerator * (den // v.denominator)
-                    for key, v in self.entries.items()}
-            object.__setattr__(self, "_int", (den, _group_lines(ints, 0)))
-        return self._int
-
-    def _column_view(self) -> dict:
-        """col -> {row: value} over the nonzero columns, built once."""
-        if self._by_col is None:
-            object.__setattr__(self, "_by_col", _group_lines(self.entries, 1))
-        return self._by_col
+        return RatMatrix._trusted(self.rows, other.cols, _int_product(self, other),
+                                  self.den * other.den)
 
     def _row_view(self) -> dict:
-        """row -> {col: value} over the nonzero rows, built once."""
+        """row -> {col: den * value} over the nonzero rows, built once."""
         if self._by_row is None:
-            object.__setattr__(self, "_by_row", _group_lines(self.entries, 0))
+            object.__setattr__(self, "_by_row", _group_lines(self._ints, 0))
         return self._by_row
+
+    def _column_view(self) -> dict:
+        """col -> {row: den * value} over the nonzero columns, built once."""
+        if self._by_col is None:
+            object.__setattr__(self, "_by_col", _group_lines(self._ints, 1))
+        return self._by_col
 
     def apply(self, v: Vector) -> Vector:
         """Matrix times column vector."""
-        return _combine(self._column_view(), v)
+        return _combine(self._column_view(), v, self.den)
 
     def apply_functional(self, f: Vector) -> Vector:
         """Row vector times matrix (pullback of a functional)."""
-        return _combine(self._row_view(), f)
+        return _combine(self._row_view(), f, self.den)
 
     def column(self, c: int) -> Vector:
-        return dict(self._column_view().get(c, {}))
+        den = self.den
+        return {r: Fraction(v, den) for r, v in self._column_view().get(c, {}).items()}
 
     def columns(self) -> list:
-        view = self._column_view()
-        return [dict(view.get(c, {})) for c in range(self.cols)]
+        return [self.column(c) for c in range(self.cols)]
 
     def restrict_columns(self, cols: list) -> "RatMatrix":
         """Submatrix on the given columns, renumbered 0, 1, ... in that order."""
         view = self._column_view()
-        entries = {}
+        ints = {}
         for local, c in enumerate(cols):
             for r, v in view.get(c, {}).items():
-                entries[(r, local)] = v
-        return RatMatrix._trusted(self.rows, len(cols), entries)
+                ints[(r, local)] = v
+        return RatMatrix._trusted(self.rows, len(cols), ints, self.den)
 
     def __repr__(self):
-        return "RatMatrix(%d, %d, %d nonzero)" % (self.rows, self.cols, len(self.entries))
+        return "RatMatrix(%d, %d, %d nonzero)" % (self.rows, self.cols, len(self._ints))
 
 
 def _group_lines(entries: dict, axis: int) -> dict:
@@ -289,16 +288,13 @@ def _group_lines(entries: dict, axis: int) -> dict:
 
 
 def _int_product(a: RatMatrix, b: RatMatrix) -> dict:
-    """(row, col) -> nonzero integer entry of den_a * den_b * (a @ b), where
-    den_a and den_b are the denominators of a's and b's integer forms."""
-    rows_a = a._integer_form()[1]
-    rows_b = b._integer_form()[1]
+    """(row, col) -> nonzero integer entry of a.den * b.den * (a @ b)."""
+    rows_b = b._row_view()
     acc = {}
-    for r, k in a.entries:
+    for (r, k), v in a._ints.items():
         line = rows_b.get(k)
         if line is None:
             continue
-        v = rows_a[r][k]
         for c, w in line.items():
             key = (r, c)
             s = acc.get(key, 0) + v * w
@@ -309,8 +305,8 @@ def _int_product(a: RatMatrix, b: RatMatrix) -> dict:
     return acc
 
 
-def _combine(lines: dict, coeffs: Vector) -> Vector:
-    """Sum of coeffs[k] * lines[k], zeros dropped."""
+def _combine(lines: dict, coeffs: Vector, den: int) -> Vector:
+    """Sum of coeffs[k] * lines[k] / den, zeros dropped."""
     acc = {}
     for k, coeff in coeffs.items():
         for idx, val in lines.get(k, {}).items():
@@ -319,6 +315,8 @@ def _combine(lines: dict, coeffs: Vector) -> Vector:
                 acc[idx] = s
             else:
                 acc.pop(idx, None)
+    if den != 1:
+        return {idx: s / den for idx, s in acc.items()}
     return acc
 
 
@@ -335,12 +333,12 @@ def rank(m: RatMatrix) -> int:
     """Rank of m by forward-only elimination of its integer rows, with no
     back-substitution.
 
-    The rows are copies of m's integer form.  Each kept row is zero at the
+    The rows are copies of m's integer rows.  Each kept row is zero at the
     pivots of the rows kept before it, so one pass over the kept rows in
     insertion order clears a new row at every pivot: clearing a later pivot
     never brings back an earlier one.
     """
-    return _row_rank(m._integer_form()[1].values())
+    return _row_rank(m._row_view().values())
 
 
 def _row_rank(rows: Iterable[dict]) -> int:
@@ -419,16 +417,18 @@ def _insert(basis: dict, row: dict) -> Optional[int]:
     return pivot
 
 
-def _integer_rref(row_vectors: Iterable[Vector]) -> dict:
-    """pivot -> primitive integer row, for the reduced echelon form of the span.
-
-    Dividing a row by its pivot entry gives the RREF row.  Rational input
-    rows are cleared of denominators once, on entry.
-    """
+def _rref(rows: Iterable[dict]) -> list:
+    """The canonical RREF rows of the span of integer rows, which it takes
+    over: ordered by pivot, entries by index, one Fraction per entry."""
     basis = {}
-    for raw in row_vectors:
-        _insert(basis, _integer_row(raw)[1])
-    return basis
+    for row in rows:
+        _insert(basis, row)
+    out = []
+    for pivot in sorted(basis):
+        row = basis[pivot]
+        lead = row[pivot]
+        out.append({idx: Fraction(row[idx], lead) for idx in sorted(row)})
+    return out
 
 
 def rref_rows(row_vectors: Iterable[Vector]) -> list:
@@ -436,16 +436,9 @@ def rref_rows(row_vectors: Iterable[Vector]) -> list:
 
     The output depends only on the row span: fully reduced, pivot entries 1,
     rows ordered by pivot column and entries by index.  Elimination runs on
-    integer rows (see the module docstring); Fractions are built only here,
-    once per output entry.
+    integer rows (see the module docstring).
     """
-    basis = _integer_rref(row_vectors)
-    out = []
-    for pivot in sorted(basis):
-        row = basis[pivot]
-        lead = row[pivot]
-        out.append({idx: Fraction(row[idx], lead) for idx in sorted(row)})
-    return out
+    return _rref(_integer_row(raw)[1] for raw in row_vectors)
 
 
 def kernel_basis(m: RatMatrix) -> list:
@@ -455,7 +448,9 @@ def kernel_basis(m: RatMatrix) -> list:
     at its free column and is supported elsewhere only on pivot columns, so
     the family is in reduced (column) echelon shape and reproducible.
     """
-    basis = _integer_rref(m._row_view().values())
+    basis = {}
+    for line in m._row_view().values():
+        _insert(basis, dict(line))
     free = {c: {c: Fraction(1)} for c in range(m.cols) if c not in basis}
     for pivot in sorted(basis):
         row = basis[pivot]
@@ -468,7 +463,7 @@ def kernel_basis(m: RatMatrix) -> list:
 
 def image_basis(m: RatMatrix) -> list:
     """Canonical basis of the column space (reduced echelon over columns)."""
-    return rref_rows(m._column_view().values())
+    return _rref(map(dict, m._column_view().values()))
 
 
 class LinearSolver:
@@ -492,17 +487,23 @@ class LinearSolver:
     def dim(self) -> int:
         return len(self._basis)
 
-    def _tagged(self, v: Vector) -> dict:
-        """Integer multiple of v, tagged as the next added vector."""
-        den, row = _integer_row(v)
+    def _add_integer(self, row: dict, den: int) -> Optional[int]:
+        """Add the vector row / den, handing over its integer row; returns
+        the new pivot, or None when the vector was in the span."""
         row[-1 - self._added] = den
-        return row
+        self._added += 1
+        return _insert(self._basis, row)
+
+    def _add_columns(self, m: RatMatrix, cols: Iterable[int]) -> None:
+        """Add the given columns of m, read from its integer column view."""
+        view = m._column_view()
+        for c in cols:
+            self._add_integer(dict(view.get(c, ())), m.den)
 
     def add(self, v: Vector) -> Optional[Vector]:
         """Add a vector; return its normalized reduced form if independent."""
-        row = self._tagged(v)
-        self._added += 1
-        pivot = _insert(self._basis, row)
+        den, row = _integer_row(v)
+        pivot = self._add_integer(row, den)
         if pivot is None:
             return None
         lead = row[pivot]
@@ -516,7 +517,8 @@ class LinearSolver:
     def express(self, target: Vector) -> Optional[Vector]:
         """Coefficients over the added vectors reproducing target, or None."""
         tag = -1 - self._added
-        row = self._tagged(target)
+        den, row = _integer_row(target)
+        row[tag] = den
         _reduce(self._basis, row)
         if any(idx >= 0 for idx in row):
             return None
@@ -528,8 +530,7 @@ class LinearSolver:
 def solve_columns(m: RatMatrix, b: Vector) -> Optional[Vector]:
     """Express b in the columns of m; returns col index -> coeff, or None."""
     solver = LinearSolver()
-    for col in m.columns():
-        solver.add(col)
+    solver._add_columns(m, range(m.cols))
     return solver.express(b)
 
 
@@ -538,8 +539,7 @@ def invert(m: RatMatrix) -> RatMatrix:
     if m.rows != m.cols:
         raise ValueError("inverse of a non-square matrix")
     solver = LinearSolver()
-    for col in m.columns():
-        solver.add(col)
+    solver._add_columns(m, range(m.cols))
     entries = {}
     for i in range(m.rows):
         expr = solver.express({i: Fraction(1)})

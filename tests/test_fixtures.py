@@ -302,3 +302,35 @@ def test_determinism_under_fixed_seed():
     b = random_valid(random.Random(5))
     assert a == b
     assert serialize(a) == serialize(b)
+
+
+def test_parse_and_rank_build_no_fraction(monkeypatch):
+    """A chain-sized admissible document, with halves among its u
+    entries, is read to integer matrices and its differential ranked on
+    them: no Fraction is built on the way."""
+    from fractions import Fraction
+
+    from floer_workbench.linalg import rank
+
+    rng = random.Random(35)
+    while True:
+        data = random_admissible(rng, max_gens=35)
+        if 24 <= data.size and data.u.den > 1 and not data.complex.differential.is_zero():
+            break
+    text = serialize(data)
+    built = []
+    original = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        built.append(args)
+        return original(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    assert Fraction(1, 2) and built == [(1, 2)]  # the counter is in place
+    del built[:]
+    parsed = parse(text, check=False)
+    r = rank(parsed.complex.differential)
+    monkeypatch.undo()
+    assert built == []
+    assert parsed == data
+    assert r == rank(data.complex.differential) > 0

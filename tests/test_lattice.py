@@ -496,3 +496,51 @@ def test_member_search_above_cap_is_refused_before_searching(monkeypatch):
         with pytest.raises(LatticeError):
             congruent_vectors(w)
     assert not is_extremal(from_coords((8, 8, 0, 0, 0, 0, 0, 0)))
+
+
+def _reference_from_coords(coords):
+    """from_coords as it read coordinates through linalg.rational."""
+    from floer_workbench.linalg import rational
+    vals = [rational(c) for c in coords]
+    if len(vals) % 8:
+        raise LatticeError("coordinate count must be a multiple of 8")
+    doubled = []
+    for v in vals:
+        d = 2 * v
+        if d.denominator != 1:
+            raise LatticeError("coordinate %s is not a multiple of 1/2" % (v,))
+        doubled.append(int(d))
+    return LatticeVector(len(vals) // 8, tuple(doubled))
+
+
+def _coords_outcome(build, coords):
+    try:
+        v = build(iter(coords))
+    except (ValueError, TypeError) as exc:
+        return type(exc), str(exc)
+    assert all(type(c) is int for c in v.doubled)
+    return v
+
+
+def test_from_coords_reads_coordinates_as_rational_did():
+    """Doubled integers, exception types and texts match the reading
+    through linalg.rational, on seeded coordinate lists mixing ints,
+    bools, Fractions, canonical and non-canonical strings and bad
+    values, at counts that are and are not multiples of 8."""
+    good = [0, 1, -2, True, False, Fraction(1, 2), Fraction(-3, 2), Fraction(4, 2),
+            "0", "1", "-1", "1/2", "-3/2", "2/4", "-0", "007", " 5/2 ", "１",
+            "١/٢", "6/4", "0/9"]
+    bad = [Fraction(1, 3), "1/3", "5/6", "2/3", "3/06", "1/0", "1.5", "+1", "x",
+           "", "1/-2", "7" * 5000, 0.5, None, "½"]
+    rng = random.Random(808)
+    seen = set()
+    for _ in range(3000):
+        count = rng.choice([8, 8, 16, 7, 9, 0])
+        coords = [rng.choice(good) for _ in range(count)]
+        if coords and rng.random() < 0.4:
+            coords[rng.randrange(count)] = rng.choice(bad)
+        got = _coords_outcome(from_coords, coords)
+        assert got == _coords_outcome(_reference_from_coords, coords)
+        seen.add(type(got) if isinstance(got, LatticeVector) else got[0])
+    assert seen == {LatticeVector, LatticeError, ValueError, TypeError}
+

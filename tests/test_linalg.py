@@ -1,3 +1,4 @@
+import math
 import random
 import re
 from fractions import Fraction
@@ -21,7 +22,19 @@ from floer_workbench.linalg import (
     vec_sub,
     vector,
 )
-from fraction_matmul import fraction_matmul
+from fraction_matmul import (
+    fraction_add,
+    fraction_apply,
+    fraction_entries,
+    fraction_image,
+    fraction_kernel,
+    fraction_matmul,
+    fraction_restrict_columns,
+    fraction_rref,
+    fraction_scale,
+    fraction_sub,
+    fraction_transpose,
+)
 from markowitz import markowitz_rank
 
 
@@ -231,6 +244,84 @@ def test_matmul_matches_fraction_reference():
     assert (a @ RatMatrix(3, 2, {(0, 0): 2, (1, 0): -1})).is_zero()
 
 
+# values as the constructor reads them, non-canonical strings among them
+_ODD_LITERALS = ["2/4", "-0", "0/5", "-6/4", "14/7", "3/9"]
+
+
+def _seeded_raw(rng, rows, cols):
+    """Constructor input over denominators 1, 2, 3, 6 and 7, inserted in
+    shuffled order, with ints, zeros and non-canonical strings."""
+    keys = [(i, j) for i in range(rows) for j in range(cols) if rng.random() < 0.5]
+    rng.shuffle(keys)
+    raw = {}
+    for key in keys:
+        roll = rng.random()
+        if roll < 0.15:
+            raw[key] = rng.choice(_ODD_LITERALS)
+        elif roll < 0.3:
+            raw[key] = rng.randint(-3, 3)
+        else:
+            raw[key] = Fraction(rng.randint(-4, 4), rng.choice([1, 2, 3, 6, 7]))
+    return raw
+
+
+def _assert_matches(m, rows, cols, entries):
+    """m holds exactly these Fraction entries, in this order, over the
+    canonical denominator."""
+    assert (m.rows, m.cols) == (rows, cols)
+    assert list(m.entries.items()) == list(entries.items())
+    assert all(type(v) is Fraction and v for v in m.entries.values())
+    assert m.den == math.lcm(*[v.denominator for v in entries.values()])
+    assert m == RatMatrix(rows, cols, entries)
+
+
+def test_integer_form_matches_fraction_reference():
+    """entries, ==, scale, transpose, +, -, @, restrict_columns,
+    kernel_basis, image_basis, apply, apply_functional and column agree
+    with the Fraction reference on 320 seeded matrices; a literal the
+    constructor refuses is refused alike."""
+    rng = random.Random(1968_04)
+    for case in range(320):
+        rows, cols, inner = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 6)
+        raw, raw_b, raw_c = (_seeded_raw(rng, rows, cols), _seeded_raw(rng, rows, cols),
+                             _seeded_raw(rng, cols, inner))
+        if case % 40 == 0 and raw:
+            raw[rng.choice(list(raw))] = "3/06"
+            with pytest.raises(ValueError):
+                fraction_entries(raw)
+            with pytest.raises(ValueError):
+                RatMatrix(rows, cols, raw)
+            continue
+        ref, ref_b, ref_c = fraction_entries(raw), fraction_entries(raw_b), fraction_entries(raw_c)
+        m, b, c = RatMatrix(rows, cols, raw), RatMatrix(rows, cols, raw_b), RatMatrix(cols, inner, raw_c)
+        _assert_matches(m, rows, cols, ref)
+        # equal by value, whatever the order and spelling of the input
+        respelled = {key: str(v) for key, v in reversed(list(ref.items()))}
+        assert m == RatMatrix(rows, cols, respelled)
+        assert (m == b) == (ref == ref_b)
+        k = Fraction(rng.randint(-3, 3), rng.choice([1, 2, 3, 6, 7]))
+        _assert_matches(m.scale(k), rows, cols, fraction_scale(ref, k))
+        _assert_matches(-m, rows, cols, fraction_scale(ref, Fraction(-1)))
+        _assert_matches(m.transpose(), cols, rows, fraction_transpose(ref))
+        _assert_matches(m + b, rows, cols, fraction_add(ref, ref_b))
+        _assert_matches(m - b, rows, cols, fraction_sub(ref, ref_b))
+        _assert_matches(m - m, rows, cols, {})
+        _assert_matches(m @ c, rows, inner, fraction_matmul(ref, ref_c))
+        picked = rng.sample(range(cols), rng.randint(0, cols))
+        _assert_matches(m.restrict_columns(picked), rows, len(picked),
+                        fraction_restrict_columns(ref, picked))
+        assert kernel_basis(m) == fraction_kernel(ref, cols)
+        assert image_basis(m) == fraction_image(ref, cols)
+        # Fraction vectors in and out, through the integer line views
+        v = {j: Fraction(rng.randint(-3, 3), rng.choice([1, 2, 7])) for j in range(cols)}
+        f = {i: Fraction(rng.randint(-3, 3), rng.choice([1, 3, 7])) for i in range(rows)}
+        for got, expected in ((m.apply(v), fraction_apply(ref, v)),
+                              (m.apply_functional(f), fraction_apply(fraction_transpose(ref), f)),
+                              *[(m.column(j), fraction_apply(ref, {j: Fraction(1)}))
+                                for j in range(cols)]):
+            assert got == expected and all(type(x) is Fraction for x in got.values())
+
+
 def _seeded_square(rng, n, den):
     """A sparse n x n matrix with entries p/den, p in -3..3."""
     return RatMatrix(n, n, {(rng.randrange(n), rng.randrange(n)):
@@ -255,17 +346,17 @@ def test_integer_commutation_matches_fraction_products():
         verdict = _int_product(a, b) == _int_product(b, a)
         assert verdict == (a @ b == b @ a)
         seen[verdict] += 1
-        den = a._integer_form()[0] * b._integer_form()[0]
+        den = a.den * b.den
         assert {k: Fraction(v, den) for k, v in _int_product(a, b).items()} == (a @ b).entries
     assert min(seen.values()) > 100
 
 
 def test_rank_of_block_with_cached_integer_form():
-    """A column block of a matrix whose integer form is cached: rank agrees
-    with the Fraction/Markowitz oracle on both."""
+    """A column block of a matrix whose integer row view is cached: rank
+    agrees with the Fraction/Markowitz oracle on both."""
     rng = random.Random(6174)
     for m, _ in _product_cases():
-        m._integer_form()
+        m._row_view()
         picked = rng.sample(range(m.cols), rng.randint(0, m.cols))
         block = m.restrict_columns(picked)
         assert rank(block) == markowitz_rank(block.entries)
@@ -363,59 +454,6 @@ def test_zero_dimension_edges():
 # the fraction-free eliminator against the plain-Fraction routine it replaced
 
 
-def _reference_rref(row_vectors):
-    """Incremental Gauss-Jordan elimination over Fraction, as rref_rows was
-    before it became fraction-free; kept here only as the oracle."""
-    basis = []  # (pivot, row)
-    for raw in row_vectors:
-        row = dict(raw)
-        for pivot, other in basis:
-            coeff = row.get(pivot)
-            if coeff:
-                for idx, val in other.items():
-                    s = row.get(idx, 0) - coeff * val
-                    if s:
-                        row[idx] = s
-                    else:
-                        row.pop(idx, None)
-        if not row:
-            continue
-        pivot = min(row)
-        inv = 1 / row[pivot]
-        row = {idx: inv * val for idx, val in row.items()}
-        for i, (p, other) in enumerate(basis):
-            coeff = other.get(pivot)
-            if coeff:
-                new = dict(other)
-                for idx, val in row.items():
-                    s = new.get(idx, 0) - coeff * val
-                    if s:
-                        new[idx] = s
-                    else:
-                        new.pop(idx, None)
-                basis[i] = (p, new)
-        basis.append((pivot, row))
-        basis.sort(key=lambda t: t[0])
-    return [row for _, row in basis]
-
-
-def _reference_kernel(m):
-    rows = {}
-    for (r, c), v in m.entries.items():
-        rows.setdefault(r, {})[c] = v
-    pivots = {min(row): row for row in _reference_rref(rows.values())}
-    basis = []
-    for c in range(m.cols):
-        if c in pivots:
-            continue
-        vec = {c: Fraction(1)}
-        for p, row in pivots.items():
-            if row.get(c):
-                vec[p] = -row[c]
-        basis.append(vec)
-    return basis
-
-
 def _random_eliminator_input(rng):
     """Sparse rational rows with negative and non-integer entries, plus
     zero rows, duplicates and combinations of earlier rows."""
@@ -443,7 +481,7 @@ def test_eliminator_matches_fraction_reference():
     rng = random.Random(19680101)
     for _ in range(300):
         cols, rows = _random_eliminator_input(rng)
-        expected = _reference_rref(rows)
+        expected = fraction_rref(rows)
         got = rref_rows(rows)
         assert got == expected
         assert all(type(v) is Fraction for row in got for v in row.values())
@@ -451,8 +489,8 @@ def test_eliminator_matches_fraction_reference():
         assert rref_rows(reversed(rows)) == expected
         m = RatMatrix(len(rows), cols,
                       {(i, j): v for i, row in enumerate(rows) for j, v in row.items()})
-        assert kernel_basis(m) == _reference_kernel(m)
-        assert image_basis(m) == _reference_rref(m.columns())
+        assert kernel_basis(m) == fraction_kernel(m.entries, m.cols)
+        assert image_basis(m) == fraction_rref(m.columns())
 
 
 def test_eliminator_matches_sympy_rref():
