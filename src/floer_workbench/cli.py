@@ -10,8 +10,8 @@ failed), 2 usage error (bad arguments, unknown fixture, unreadable file).
 Each command loads only the modules it uses: a handler imports them in its
 body, and this module imports nothing of the package at import time, nor
 json until a --json report is written.  So `eta` and `extremal` load
-lattice and linalg, `poly-identities` only polyid, and no command pays
-for the modules of another.  Every domain error is a ValueError, so main
+only lattice, `poly-identities` only polyid, and no command pays for the
+modules of another.  Every domain error is a ValueError, so main
 maps exit codes without importing the modules that raise them.
 """
 

@@ -67,9 +67,19 @@ class GradedComplex:
                 raise ValueError("degrees must be integers in [0, %d)" % DEGREE_MOD)
         if differential.rows != n or differential.cols != n:
             raise ValueError("differential shape does not match generator count")
-        object.__setattr__(self, "names", names)
-        object.__setattr__(self, "degrees", degrees)
-        object.__setattr__(self, "differential", differential)
+        for name, value in zip(self.__slots__, (names, degrees, differential)):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def _trusted(cls, names: tuple, degrees: tuple,
+                 differential: RatMatrix) -> "GradedComplex":
+        """The complex on parts known to pass the constructor's checks, such
+        as those a sum assembly builds from valid factors: names and degrees
+        as tuples, taken as they are."""
+        cx = object.__new__(cls)
+        for name, value in zip(cls.__slots__, (names, degrees, differential)):
+            object.__setattr__(cx, name, value)
+        return cx
 
     __setattr__ = _frozen_setattr
     __delattr__ = _frozen_delattr

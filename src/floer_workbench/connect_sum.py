@@ -34,14 +34,29 @@ differential is D(s) = D0 + sum_k s_k X_k, and as s_k^2 = 1
     D(s)^2 = sum over m of (prod_{k in m} s_k) T_m,
 
 where m is a set of at most two sign names and T_m sums the block products
-whose signs multiply to that monomial.  sign_search forms the block
-products once and accepts the configurations whose signed sum of the T_m
-vanishes.  On valid inputs the only nonzero terms are T_{s14} (scale times
-the correction (1/2) delta_prime . delta of the u chain relation, from
-either factor), T_{s12,s24} and T_{s13,s34}, so squaring to zero forces
-s12 s24 = s14 and s13 s34 = -s14 whenever both boundary functionals are
-active.  The default configuration (1, 1, 1, 1, -1) satisfies both
-constraints, so it squares to zero for every pair of valid inputs.
+whose signs multiply to that monomial.  Validation gives d^2 = 0,
+delta o d = 0, d delta_prime = 0, the degrees 1 and 4 of delta and
+delta_prime, and d u - u d = -(1/2) delta_prime . delta.  So T_{} = 0 and
+T_{k} = 0 for k != s14, and of the products of two cross blocks only
+S1 -> S2 -> S4 and S1 -> S3 -> S4 compose.  D0 is negated on S4, so
+T_{s14} is minus the commutator of the tensor differential with X14, and
+the u chain relations give, with the S1 -> S4 maps (A- and B-term)
+
+    P_A = delta_prime . delta (x) I,  P_B = (-1)^|a| I (x) delta_prime' . delta',
+    T_{s14} = (scale / 2) (P_A - P_B),  T_{s13,s34} = P_A,  T_{s12,s24} = P_B.
+
+P_A lives at (r, j) <- (i, j) with r in degree 4 and i in degree 1, P_B at
+(i, r) <- (i, c): disjoint supports, so D(s)^2 = 0 exactly when each of
+s13 s34 + s14 scale / 2 and s12 s24 - s14 scale / 2 is zero or multiplies
+a zero term.  P_A != 0 exactly when A: delta, delta_prime and the right
+factor's generators are nonzero; P_B != 0 when B: delta', delta_prime' and
+the left factor's generators are.  Precondition: scale is 2 for a sum,
+where a factor with delta != 0 is a sphere kind, so A brings S3 and B
+brings S2; a union has unit scale but admissible factors, so A and B are
+false.  Hence s is accepted exactly when (c2 = 1 or not B) and (c3 = -1 or
+not A), c2 and c3 the orbit invariants below, and the default (1, 1, 1, 1,
+-1) always is.  _orbit_verdicts reads this off the factors; the full-size
+square terms and d @ d are the tests' oracle.
 
 The family falls into four gauge orbits of eight.  Flipping the basis sign
 of summand t by g_t = +-1 (g_1 = 1), that is conjugating by the diagonal
@@ -51,10 +66,10 @@ two cycles of the summand graph, c2 = s12 s24 s14 and c3 = s13 s34 s14, are
 the invariants, and g_2, g_3, g_4 are read off s'_12, s'_13, s'_14, so each
 (c2, c3) class is one orbit of eight configurations.  As D(s')^2 =
 G D(s)^2 G, acceptance and every homology dimension are constant on an
-orbit: the signed sum of the square terms is formed once per orbit, and
-connect-sum --search ranks one representative per accepted orbit.  A sum
-complex has 2 na nb + n2 + n3 generators, known from the factors' sizes and
-kinds; above SUM_GENERATOR_CAP it is refused before anything is built.
+orbit, and connect-sum --search ranks one representative per accepted
+orbit.  A sum complex has 2 na nb + n2 + n3 generators, known from the
+factors' sizes and kinds; above SUM_GENERATOR_CAP it is refused before
+anything is built.
 
 On a disjoint union (shape (1, 4)), extended_u places u (x) I at the same
 offsets on S1 and S4, and kernel_symmetry_check tests that the placements
@@ -77,7 +92,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Optional
 
@@ -89,32 +104,29 @@ from .linalg import (LinearSolver, RatMatrix, Vector, dot, kernel_basis,
 
 
 class SignSearchError(ValueError):
-    """No sign configuration in the family squares the differential to zero."""
+    """A sign configuration does not square the differential to zero."""
 
 
 SIGN_NAMES = ("s12", "s13", "s14", "s24", "s34")
 
 # The most generators a sum or union complex may have.  The nPplusModel:40
-# self-sum has 12960; the nPplusModel:49 one (19404) runs --search
-# --homology in about 5 s and 42 MB (Python 3.11, 2 CPUs).
+# self-sum has 12960; the nPplusModel:49 one (19404) is built and certified
+# in about 0.1 s, and --search --homology on it takes about 4.4 s and 38 MB,
+# almost all in the degree-block ranks (Python 3.11, 2 CPUs).
 SUM_GENERATOR_CAP = 20000
 
 
-@dataclass(frozen=True)
-class SignConfig:
-    s12: int = 1
-    s13: int = 1
-    s14: int = 1
-    s24: int = 1
-    s34: int = -1
+class SignConfig(namedtuple("SignConfig", SIGN_NAMES, defaults=(1, 1, 1, 1, -1))):
+    __slots__ = ()
 
-    def __post_init__(self):
-        for name in SIGN_NAMES:
-            if getattr(self, name) not in (1, -1):
-                raise ValueError("signs must be +1 or -1")
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        if any(s not in (1, -1) for s in self):
+            raise ValueError("signs must be +1 or -1")
+        return self
 
     def as_tuple(self):
-        return (self.s12, self.s13, self.s14, self.s24, self.s34)
+        return tuple(self)
 
 
 DEFAULT_SIGNS = SignConfig()
@@ -128,13 +140,12 @@ def _orbit_class(signs: SignConfig) -> tuple:
     return (signs.s12 * signs.s24 * signs.s14, signs.s13 * signs.s34 * signs.s14)
 
 
-@dataclass
-class ConnectSumComplex:
-    left: FloerData
-    right: FloerData
-    total: GradedComplex
-    signs: SignConfig
-    offsets: tuple  # (0, o2, o3, o4, size): summand t spans offsets[t-1:t+1]
+class ConnectSumComplex(namedtuple("ConnectSumComplex",
+                                   "left right total signs offsets")):
+    """The factors, the total complex and its signs; offsets is (0, o2, o3,
+    o4, size), and summand t spans offsets[t-1:t+1]."""
+
+    __slots__ = ()
 
     @property
     def shape(self) -> tuple:
@@ -247,21 +258,6 @@ class _Assembly:
                 ent.update((key, -v) for key, v in block.items())
         return RatMatrix._trusted(self.size, self.size, ent, self.den)
 
-    def square_terms(self) -> dict:
-        """The nonzero T_m of D(s)^2 = sum over m of (prod_{k in m} s_k) T_m.
-
-        m is a frozenset of sign names: a product of two blocks carries the
-        signs of both, and a sign met twice squares to 1.
-        """
-        blocks = [(frozenset(), self.diagonal)]
-        blocks += [(frozenset((name,)), x) for name, x in self.cross.items()]
-        blocks = [(m, RatMatrix._trusted(self.size, self.size, x, self.den))
-                  for m, x in blocks]
-        terms, zero = {}, RatMatrix.zero(self.size, self.size)
-        for (m, x), (n, y) in itertools.product(blocks, repeat=2):
-            terms[m ^ n] = terms.get(m ^ n, zero) + x @ y
-        return {m: t for m, t in terms.items() if not t.is_zero()}
-
     def check_degrees(self) -> None:
         """Every block entry lowers degree by one.  The blocks' supports
         make up the support of every D(s), in D(s)'s entry order."""
@@ -273,9 +269,10 @@ class _Assembly:
                         % (self.names[r], self.names[c]))
 
 
-def _assembly(a: FloerData, b: FloerData, u_scale: Fraction) -> _Assembly:
-    """The assembly of a and b, refused before anything is built when the
-    total complex would have more than SUM_GENERATOR_CAP generators."""
+def _theta_flags(a: FloerData, b: FloerData) -> tuple:
+    """(theta_right, theta_left) for the sum of a and b, once both factors
+    are valid; refused before validation when the total complex would have
+    more than SUM_GENERATOR_CAP generators."""
     theta_right = b.kind is Kind.HOMOLOGY_SPHERE
     theta_left = a.kind is Kind.HOMOLOGY_SPHERE
     size = (2 * a.size * b.size + (a.size if theta_right else 0)
@@ -285,24 +282,24 @@ def _assembly(a: FloerData, b: FloerData, u_scale: Fraction) -> _Assembly:
                          "cap of %d" % (size, SUM_GENERATOR_CAP))
     require_valid(a)
     require_valid(b)
+    return theta_right, theta_left
+
+
+def _assembly(a: FloerData, b: FloerData, u_scale: Fraction) -> _Assembly:
+    theta_right, theta_left = _theta_flags(a, b)
     return _Assembly(a, b, theta_right=theta_right, theta_left=theta_left,
                      u_scale=u_scale)
 
 
-def _finish(asm: _Assembly, a, b, signs: SignConfig,
-            verdicts: Optional[dict] = None) -> ConnectSumComplex:
+def _finish(asm: _Assembly, a, b, signs: SignConfig) -> ConnectSumComplex:
     """The total complex for signs, certified to square to zero by the
-    orbit verdicts of asm's square terms when given, else by d @ d."""
-    diff = asm.differential(signs)
+    orbit verdicts of a and b."""
     asm.check_degrees()
-    if verdicts is None:
-        squares_to_zero = (diff @ diff).is_zero()
-    else:
-        squares_to_zero = verdicts[_orbit_class(signs)]
-    if not squares_to_zero:
+    if not _orbit_verdicts(a, b)[_orbit_class(signs)]:
         raise SignSearchError("differential does not square to zero for signs %s"
                               % (signs.as_tuple(),))
-    total = GradedComplex(tuple(asm.names), tuple(asm.degrees), diff)
+    total = GradedComplex._trusted(tuple(asm.names), tuple(asm.degrees),
+                                   asm.differential(signs))
     return ConnectSumComplex(left=a, right=b, total=total, signs=signs,
                              offsets=asm.offsets)
 
@@ -321,60 +318,52 @@ def connected_sum_complex(a: FloerData, b: FloerData,
 def sign_search(a: FloerData, b: FloerData) -> list:
     """All members of the 32-element sign family that square to zero here.
 
-    The square terms T_m come from one product of each pair of blocks; a
-    configuration s is accepted when sum over m of (prod_{k in m} s_k) T_m
-    is zero, so no per-configuration differential is built or squared, and
-    that sum is formed once per gauge orbit.  Iteration order is
-    lexicographic with +1 before -1, so the first element is the canonical
-    accepted configuration for the given inputs.
+    Acceptance is decided once per gauge orbit from a few facts about the
+    factors (module docstring), so no sum complex is built.  Iteration
+    order is lexicographic with +1 before -1, so the first element is the
+    canonical accepted configuration for the given inputs.
     """
-    return _accepted(_orbit_verdicts(_assembly(a, b, Fraction(2)).square_terms()))
+    _theta_flags(a, b)
+    return _accepted(_orbit_verdicts(a, b))
 
 
-def _orbit_verdicts(terms: dict) -> dict:
-    """(c2, c3) -> whether D(s)^2 = 0 on that orbit, from the signed sum of
-    the square terms at the orbit's first configuration."""
-    verdicts = {}
-    for signs in _FAMILY:
-        key = _orbit_class(signs)
-        if key not in verdicts:
-            square = None
-            for m, t in terms.items():
-                if math.prod(getattr(signs, name) for name in m) < 0:
-                    t = -t
-                square = t if square is None else square + t
-            verdicts[key] = square is None or square.is_zero()
-    return verdicts
+def _orbit_verdicts(a: FloerData, b: FloerData) -> dict:
+    """(c2, c3) -> whether D(s)^2 = 0 on that orbit, for valid factors a and
+    b of a sum (u scale 2) or of a union of admissible factors.
+
+    A and B say whether the S1 -> S4 terms P_A and P_B of the square are
+    nonzero; an orbit is accepted when each active term has coefficient
+    zero, as the module docstring derives.
+    """
+    a_term = bool(a.delta and a.delta_prime and b.size)
+    b_term = bool(b.delta and b.delta_prime and a.size)
+    return {(c2, c3): (c2 == 1 or not b_term) and (c3 == -1 or not a_term)
+            for c2 in (1, -1) for c3 in (1, -1)}
 
 
 def _accepted(verdicts: dict) -> list:
-    """The configurations, in sign_search's order, of the accepted orbits."""
-    accepted = [signs for signs in _FAMILY if verdicts[_orbit_class(signs)]]
-    if not accepted:
-        raise SignSearchError("no sign configuration squares to zero; "
-                              "the inputs are structurally inconsistent")
-    return accepted
+    """The configurations, in sign_search's order, of the accepted orbits;
+    the default's orbit (1, -1) is always one of them."""
+    return [signs for signs in _FAMILY if verdicts[_orbit_class(signs)]]
 
 
 def _search(a: FloerData, b: FloerData, signs: SignConfig) -> tuple:
     """(built, accepted, orbit totals) for connect-sum --search, from one
     assembly.
 
-    built is connected_sum_complex(a, b, signs), certified by the square
-    terms instead of d @ d; accepted is sign_search(a, b).  orbit totals
-    maps the (c2, c3) class of each accepted orbit to the total complex of
-    its first configuration, which has the homology dimensions of every
-    configuration in the orbit.
+    built is connected_sum_complex(a, b, signs) and accepted is
+    sign_search(a, b).  orbit totals maps the (c2, c3) class of each
+    accepted orbit to the total complex of its first configuration, which
+    has the homology dimensions of every configuration in the orbit.
     """
     asm = _assembly(a, b, Fraction(2))
-    verdicts = _orbit_verdicts(asm.square_terms())
-    built = _finish(asm, a, b, signs, verdicts)
-    accepted = _accepted(verdicts)
+    built = _finish(asm, a, b, signs)
+    accepted = _accepted(_orbit_verdicts(a, b))
     totals = {}
     for config in accepted:
         key = _orbit_class(config)
         if key not in totals:
-            totals[key] = (built.total if config == signs else GradedComplex(
+            totals[key] = (built.total if config == signs else GradedComplex._trusted(
                 built.total.names, built.total.degrees, asm.differential(config)))
     return built, accepted, totals
 
@@ -613,17 +602,13 @@ def _find_witness(data: FloerData, f: Vector, k: int) -> Vector:
     raise ValueError("no witness found; functional order is inconsistent")
 
 
-@dataclass
-class SumBoundReport:
-    mode: str                   # "pair" or "triple"
-    n: int
-    orders: tuple               # functional filtration orders per factor
-    level: int                  # shift l applied to the last slot
-    cycle_ok: bool
-    pairing: Fraction
-    witness_values: tuple       # the evaluations whose product is pinned
-    expected: Fraction
-    product_matches: bool
+class SumBoundReport(namedtuple("SumBoundReport", "mode n orders level cycle_ok "
+                                "pairing witness_values expected product_matches")):
+    """mode is "pair" or "triple"; orders are the functional filtration
+    orders per factor, level the shift applied to the last slot, and
+    witness_values the evaluations whose product is pinned."""
+
+    __slots__ = ()
 
     @property
     def nonzero(self) -> bool:

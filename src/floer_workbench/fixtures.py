@@ -105,6 +105,9 @@ def _ladder(n: int, top, bottom, c, top_first: bool, **fields) -> FloerData:
 ORDER_CAP = 10000
 # the most generators a document may declare: a ladder at ORDER_CAP
 GENERATOR_CAP = 2 * ORDER_CAP
+# the largest random_nilpotent_phi order: `fixtures --random nilpotent
+# --order 100` takes about 1 s, and the time grows about 7x per doubling
+NILPOTENT_ORDER_CAP = 100
 
 # name -> (takes an order, description, distinguished generators,
 #          builder(order, u_param)); the order of an orderless fixture is 1
@@ -378,10 +381,14 @@ def random_nilpotent_phi(rng: random.Random, order: int):
 
     Returns (data, psi).  The construction puts a single nilpotent chain of
     the requested order inside u^2 on the degree-1 block, then conjugates
-    and disguises u itself through a random invertible factor.
+    and disguises u itself through a random invertible factor.  An order
+    above NILPOTENT_ORDER_CAP is refused with ValueError before anything is
+    built.
     """
     if order < 1:
         raise ValueError("order must be >= 1")
+    if order > NILPOTENT_ORDER_CAP:
+        raise ValueError("order %d is above the cap of %d" % (order, NILPOTENT_ORDER_CAP))
     m = order + rng.randint(0, 2)
     p = _random_unimodular(rng, m)
     p_inv = invert(p)

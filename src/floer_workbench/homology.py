@@ -23,7 +23,7 @@ agree entry for entry.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from typing import Optional
 
@@ -40,8 +40,8 @@ class DegreeMismatch(ValueError):
     """Functional and class live in incompatible degrees."""
 
 
-@dataclass
-class GradedVectorSpace:
+class GradedVectorSpace(namedtuple("GradedVectorSpace",
+                                   "dims representatives cycles boundaries")):
     """Homology presented by residue: dimensions and cycle representatives.
 
     representatives[r] is a list of chain vectors (over the original
@@ -50,10 +50,7 @@ class GradedVectorSpace:
     boundaries they were chosen from.
     """
 
-    dims: dict
-    representatives: dict
-    cycles: dict
-    boundaries: dict
+    __slots__ = ()
 
 
 def _lift(cols: list, local: list) -> list:

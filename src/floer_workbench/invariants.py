@@ -11,8 +11,7 @@ the even u-pullbacks of delta against the even u-iterates of delta_prime(1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from collections import namedtuple
 
 from .complexes import FloerData
 from .linalg import LinearSolver, RatMatrix, Vector, dot
@@ -75,12 +74,11 @@ def phi_filtration(u0: RatMatrix, psi: Vector) -> int:
     return k
 
 
-@dataclass
-class PhiReport:
-    span_dim: int
-    nilpotent_on_cycle: bool
-    filtration_order: Optional[int]  # None when the gate fails
-    agree: Optional[bool]            # None when the gate fails
+class PhiReport(namedtuple("PhiReport",
+                           "span_dim nilpotent_on_cycle filtration_order agree")):
+    """filtration_order and agree are None when the nilpotency gate fails."""
+
+    __slots__ = ()
 
     @property
     def phi(self) -> int:
@@ -101,12 +99,10 @@ def phi_report(u0: RatMatrix, psi: Vector) -> PhiReport:
     return PhiReport(span, True, order, span == order)
 
 
-@dataclass
-class HReport:
-    dim_functional_span: int   # span of delta under even u-pullbacks
-    dim_vector_span: int       # span of delta_prime(1) under even u-iterates
-    h: int
-    mutual_triviality: bool    # at least one of the two spans is zero
+# dim_functional_span: delta under even u-pullbacks; dim_vector_span:
+# delta_prime(1) under even u-iterates; mutual_triviality: one span is zero
+HReport = namedtuple("HReport", "dim_functional_span dim_vector_span h "
+                     "mutual_triviality")
 
 
 def h_invariant(data: FloerData) -> HReport:

@@ -488,7 +488,7 @@ def test_disjoint_union_reduces_factors_with_a_differential(tmp_path, capsys,
 
 
 def test_connect_sum_search_assembles_once(capsys, monkeypatch):
-    # one assembly certifies the reported config from its square terms and
+    # one assembly certifies the reported config from its orbit verdict and
     # ranks one representative per accepted gauge orbit
     calls, assemblies, ranked, restricted = [], [], [], []
     build = connect_sum.connected_sum_complex
@@ -520,6 +520,13 @@ def test_connect_sum_search_assembles_once(capsys, monkeypatch):
     assert blocks == 4
     assert len(ranked) == 4 * blocks  # 32 accepted configs, 4 orbits
     assert restricted == []
+
+
+def test_fixtures_refuses_a_nilpotent_order_above_the_cap(capsys):
+    code, out, err = run(capsys, "fixtures", "--random", "nilpotent", "--order", "101")
+    assert (code, out) == (1, "")
+    assert err == "error: order 101 is above the cap of 100\n"
+    assert fixtures.NILPOTENT_ORDER_CAP == 100
 
 
 def test_connect_sum_refuses_a_sum_above_the_cap(capsys):

@@ -38,6 +38,8 @@ from floer_workbench.linalg import (
 )
 from cycle_reference import reference_pair_cycle, reference_triple_cycle
 from markowitz import markowitz_rank
+from square_terms import (constraint_terms, signed_square, square_terms,
+                          term_verdicts)
 
 
 def nonzero_dims(space) -> dict:
@@ -186,6 +188,40 @@ def test_sign_config_validation():
     assert DEFAULT_SIGNS.as_tuple() == (1, 1, 1, 1, -1)
 
 
+def test_records_keep_their_fields_repr_and_properties():
+    """The six records, now named tuples: fields, repr, the derived
+    properties, SignConfig's defaults and +-1 check, and no assignment."""
+    from floer_workbench.homology import GradedVectorSpace
+    from floer_workbench.invariants import HReport, PhiReport, h_invariant
+    assert repr(DEFAULT_SIGNS) == "SignConfig(s12=1, s13=1, s14=1, s24=1, s34=-1)"
+    assert SignConfig(s13=-1).as_tuple() == (1, -1, 1, 1, -1)
+    assert type(DEFAULT_SIGNS.as_tuple()) is tuple
+    for bad in ((0,), (1, 1, 1, 1, "1"), (1, 1, 1, 1, -2)):
+        with pytest.raises(ValueError, match="signs must be"):
+            SignConfig(*bad)
+    built = connected_sum_complex(builtin("Pplus"), builtin("Pminus"))
+    assert built._fields == ("left", "right", "total", "signs", "offsets")
+    assert built.shape == (1, 2, 3, 4) and built.signs is DEFAULT_SIGNS
+    a = ladder(2)
+    report = verify_sum_bound(a, a, fa=unit_functional(a, "z2"), fb=unit_functional(a, "z2"))
+    assert report._fields == ("mode", "n", "orders", "level", "cycle_ok", "pairing",
+                              "witness_values", "expected", "product_matches")
+    assert report.nonzero is bool(report.pairing)
+    phi = PhiReport(3, True, 3, True)
+    assert (phi.phi, repr(phi)) == (3, "PhiReport(span_dim=3, nilpotent_on_cycle=True, "
+                                       "filtration_order=3, agree=True)")
+    assert h_invariant(builtin("Pplus")) == HReport(0, 1, -1, True)
+    assert repr(h_invariant(builtin("Pplus"))) == (
+        "HReport(dim_functional_span=0, dim_vector_span=1, h=-1, mutual_triviality=True)")
+    space = homology(builtin("Pplus").complex)
+    assert GradedVectorSpace._fields == ("dims", "representatives", "cycles", "boundaries")
+    assert sum(space.dims.values()) == 2
+    for record, name in ((DEFAULT_SIGNS, "s12"), (built, "signs"), (report, "n"),
+                         (phi, "agree"), (space, "dims")):
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+
+
 def test_sign_search_on_delta_free_pair_accepts_everything():
     # with delta = 0 on both factors the two constraint products never
     # activate, so the whole family squares to zero
@@ -268,16 +304,22 @@ def seeded_pairs(seed, per_shape=4):
     return pairs
 
 
+def full_square_accepted(a, b):
+    """The configs whose differential, built by one assembly of a and b,
+    squares to zero as a full-size product."""
+    asm = connect_sum._assembly(a, b, Fraction(2))
+    accepted = []
+    for tup in itertools.product((1, -1), repeat=5):
+        d = asm.differential(SignConfig(*tup))
+        if (d @ d).is_zero():
+            accepted.append(SignConfig(*tup))
+    return accepted
+
+
 def test_sign_search_matches_full_square_oracle():
     # the oracle builds each configuration's differential and squares it
     for a, b in seeded_pairs(2024):
-        expected = []
-        for tup in itertools.product((1, -1), repeat=5):
-            try:
-                connected_sum_complex(a, b, signs=SignConfig(*tup))
-            except SignSearchError:
-                continue
-            expected.append(SignConfig(*tup))
+        expected = full_square_accepted(a, b)
         assert sign_search(a, b) == expected
 
 
@@ -324,12 +366,50 @@ def brute_force_accepted(terms):
 def test_orbit_verdicts_match_every_config():
     sizes = set()
     for a, b in seeded_pairs(4242):
-        terms = connect_sum._assembly(a, b, Fraction(2)).square_terms()
-        accepted = connect_sum._accepted(connect_sum._orbit_verdicts(terms))
+        terms = square_terms(connect_sum._assembly(a, b, Fraction(2)))
+        verdicts = connect_sum._orbit_verdicts(a, b)
+        assert verdicts == term_verdicts(terms)
+        accepted = connect_sum._accepted(verdicts)
         assert accepted == brute_force_accepted(terms)
         sizes.add(len(accepted))
     # one, two and four accepted orbits all occur
     assert sizes == {8, 16, 32}
+
+
+def zero_generator_factors(seed, count=3):
+    """Reductions of acyclic admissible factors: no generators at all."""
+    rng = random.Random(seed)
+    found = []
+    while len(found) < count:
+        reduced = reduce_to_homology(random_admissible(rng, max_gens=5))
+        if reduced.size == 0:
+            found.append(reduced)
+    return found
+
+
+def test_orbit_verdicts_match_the_full_square_on_all_configs():
+    """The factor-level verdict against d @ d of every one of the 32
+    configurations, on pairs of all four shapes, builtins with u_param != 0
+    and zero-generator factors against spheres with both functionals, where
+    the active term has nothing to act on."""
+    spheres = [x for x in (random_homology_sphere(random.Random(s)) for s in range(40))
+               if x.delta and x.delta_prime][:3]
+    zeros = zero_generator_factors(606)
+    builtins = [builtin(name, u_param=c) for name in ("Pplus", "Pminus")
+                for c in (1, -3, Fraction(1, 2))]
+    builtins += [builtin("TrefoilLikeSynthetic"), builtin("nPplusModel:2")]
+    pairs = seeded_pairs(5150, per_shape=2)
+    pairs += [(x, y) for x in builtins for y in builtins[::2]]
+    pairs += [pair for x in spheres for y in builtins for pair in ((x, y), (y, x))]
+    pairs += [(z, x) for z in zeros for x in spheres + builtins[:2]]
+    pairs += [(x, z) for z in zeros for x in spheres + builtins[:2]]
+    pairs += [(z, w) for z in zeros[:2] for w in zeros[:2]]
+    rejected = 0
+    for a, b in pairs:
+        accepted = full_square_accepted(a, b)
+        assert connect_sum._accepted(connect_sum._orbit_verdicts(a, b)) == accepted
+        rejected += 32 - len(accepted)
+    assert len(spheres) == 3 and rejected >= 100
 
 
 def gauge(cfg, rep, offsets):
@@ -369,7 +449,7 @@ def test_accepted_configs_are_gauge_conjugates_of_their_representative():
 
 def test_search_certifies_the_reported_config_like_the_full_square():
     for a, b in seeded_pairs(2024, per_shape=1):
-        accepted = sign_search(a, b)
+        accepted = full_square_accepted(a, b)
         for tup in itertools.product((1, -1), repeat=5):
             cfg = SignConfig(*tup)
             if cfg in accepted:
@@ -419,14 +499,25 @@ def test_sign_search_builds_no_differential(monkeypatch):
 
 
 def test_square_terms_are_the_two_constraints():
+    """T_{s14} = P_A - P_B, T_{s12,s24} = P_B and T_{s13,s34} = P_A, the
+    module docstring's proof, checked at full size."""
     allowed = {frozenset({"s14"}), frozenset({"s12", "s24"}), frozenset({"s13", "s34"})}
     both_active = 0
     for a, b in seeded_pairs(99):
-        terms = connect_sum._assembly(a, b, Fraction(2)).square_terms()
+        asm = connect_sum._assembly(a, b, Fraction(2))
+        terms = square_terms(asm)
         assert set(terms) <= allowed
         if a.delta and a.delta_prime and b.delta and b.delta_prime:
             both_active += 1
             assert set(terms) == allowed
+        p_a, p_b = constraint_terms(a, b, asm.size, asm.offsets)
+        zero = RatMatrix.zero(asm.size, asm.size)
+        assert terms.get(frozenset({"s14"}), zero) == p_a - p_b
+        assert terms.get(frozenset({"s12", "s24"}), zero) == p_b
+        assert terms.get(frozenset({"s13", "s34"}), zero) == p_a
+        for cfg in (DEFAULT_SIGNS, SignConfig(1, 1, 1, 1, 1)):
+            d = asm.differential(cfg)
+            assert (signed_square(terms, cfg) or zero) == d @ d
     assert both_active >= 3
 
 

@@ -4,10 +4,9 @@ A cold start of the CLI compiles every module it imports, since the
 package is often run without cached bytecode.  So `cli` imports no module
 of the package, and not json, at import time: each handler imports what it
 uses in its body.  lattice, which `eta` and `extremal` load alone, reads
-coordinates without linalg.  lattice, polyid, complexes, fixtures and
-linalg do not import dataclasses, which brings in inspect, ast, dis and
-tokenize, so `eta`, `extremal`, `poly-identities`, `validate`, `dualize`
-and `fixtures` do not load it.
+coordinates without linalg.  No module of the package imports
+dataclasses, which brings in inspect, ast, dis and tokenize, so no
+command loads it.
 """
 
 import ast
@@ -92,10 +91,10 @@ def test_cli_imports_no_package_module_at_import_time():
     assert not found, "\n".join(found)
 
 
-def test_lattice_and_polyid_do_not_import_dataclasses():
-    found = [hit for name in ("lattice.py", "polyid.py", "complexes.py", "fixtures.py",
-                              "linalg.py")
-             for hit in _dataclasses_imports(PACKAGE / name)]
+def test_no_module_imports_dataclasses():
+    modules = sorted(PACKAGE.glob("*.py"))
+    assert len(modules) == 10
+    found = [hit for path in modules for hit in _dataclasses_imports(path)]
     assert not found, "\n".join(found)
 
 
@@ -154,9 +153,7 @@ def test_each_command_loads_only_its_modules(startup_modules, argv, expected):
                if name.startswith("floer_workbench.")}
     assert package == expected
     assert "json" not in loaded
-    # only homology, connect_sum and invariants still define dataclasses
-    if not expected & {"homology", "connect_sum", "invariants"}:
-        assert "dataclasses" not in loaded
+    assert "dataclasses" not in loaded
 
 
 def test_json_reports_load_json(startup_modules):
