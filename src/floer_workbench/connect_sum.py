@@ -71,10 +71,21 @@ orbit.  A sum complex has 2 na nb + n2 + n3 generators, known from the
 factors' sizes and kinds; above SUM_GENERATOR_CAP it is refused before
 anything is built.
 
-On a disjoint union (shape (1, 4)), extended_u places u (x) I at the same
-offsets on S1 and S4, and kernel_symmetry_check tests that the placements
-of u agree in homology on a list of cycles, against one boundary solver
-for the whole list.
+A disjoint union (shape (1, 4)) unites admissible factors, so delta =
+delta' = 0, each factor reduces to its homology, and disjoint-union reports
+from the union of the reduced factors.  That union has the full one's
+homology: over Q each factor retracts onto its homology, (i, p, h), and so
+does D0 (Kuenneth).  D = D0 + s14 X, with X the cross block S1 -> S4, zero
+on S4.  The tensor homotopy keeps each summand, so every term p X (h X)^k i,
+k >= 1, of the perturbation lemma's series vanishes (Gugenheim-Lambe-
+Stasheff, Illinois J. Math. 35, 1991), and the perturbed differential is
+s14 p X i, with p X i = u_H (x) 1 - 1 (x) u'_H: the cross block
+disjoint_union_complex builds from the reduced factors' u.  u (x) 1 on S1
+and S4 commutes with the full D: d u = u d on each factor, and u has even
+degree, so u (x) 1 commutes with the Koszul-signed 1 (x) d', with 1 (x) u',
+hence with X.  On the reduced union D = s14 X, so a cycle (z1, z4) has
+X z1 = 0: the S1 difference kernel_symmetry_check tests is zero, and every
+cycle passes it.
 
 Sum bounds pair product functionals against kernel cycles of the u
 differences over m = 2 or 3 factors.  With N_k = u_k^2 - 4 on factor k, k
@@ -368,30 +379,26 @@ def _search(a: FloerData, b: FloerData, signs: SignConfig) -> tuple:
     return built, accepted, totals
 
 
+def _require_union_factors(a: FloerData, b: FloerData) -> None:
+    """A disjoint union's refusals, in order: a factor that is not
+    admissible (left, then right), a union above SUM_GENERATOR_CAP, and
+    invalid data (left, then right)."""
+    for side, data in (("left", a), ("right", b)):
+        if data.kind is not Kind.ADMISSIBLE:
+            raise ValueError("disjoint union needs admissible inputs; %s factor is %s"
+                             % (side, data.kind.value))
+    _theta_flags(a, b)
+
+
 def disjoint_union_complex(a: FloerData, b: FloerData) -> ConnectSumComplex:
     """Two-summand complex for a pair of admissible inputs.
 
     No theta summands appear and the cross map is u (x) I - I (x) u' with
     unit scale.
     """
-    for side, data in (("left", a), ("right", b)):
-        if data.kind is not Kind.ADMISSIBLE:
-            raise ValueError("disjoint union needs admissible inputs; %s factor is %s"
-                             % (side, data.kind.value))
-    return _finish(_assembly(a, b, Fraction(1)), a, b, DEFAULT_SIGNS)
-
-
-def extended_u(cs: ConnectSumComplex) -> RatMatrix:
-    """The action u (x) I on both tensor summands of a disjoint union."""
-    if cs.shape != (1, 4):
-        raise ValueError("extended u is defined on two-summand complexes")
-    nb, o4, n = cs.right.size, cs.offsets[3], cs.total.size
-    ent = {}
-    for (r, c), v in cs.left.u._ints.items():
-        for j in range(nb):
-            ent[(r * nb + j, c * nb + j)] = v
-            ent[(o4 + r * nb + j, o4 + c * nb + j)] = v
-    return RatMatrix._trusted(n, n, ent, cs.left.u.den)
+    _require_union_factors(a, b)
+    return _finish(_Assembly(a, b, theta_right=False, theta_left=False,
+                             u_scale=Fraction(1)), a, b, DEFAULT_SIGNS)
 
 
 def _factor_apply(op: RatMatrix, axis: int, tensor: dict) -> dict:

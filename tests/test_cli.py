@@ -12,6 +12,7 @@ import pytest
 
 from floer_workbench import cli, connect_sum, fixtures, lattice, polyid
 from floer_workbench.linalg import RatMatrix
+from test_connect_sum import union_dims_oracle
 
 
 def run(capsys, *argv):
@@ -282,6 +283,9 @@ def test_sum_bound_refusal_exits_one(capsys):
 
 
 def test_disjoint_union_checks_samples_against_one_solver(capsys, monkeypatch):
+    # every cycle of the reduced union passes the check (connect_sum's
+    # docstring), so the samples are counted from ranks and no solver is built
+    homology = importlib.import_module("floer_workbench.homology")
     built = []
 
     class CountedSolver(connect_sum.LinearSolver):
@@ -290,12 +294,13 @@ def test_disjoint_union_checks_samples_against_one_solver(capsys, monkeypatch):
             super().__init__()
 
     monkeypatch.setattr(connect_sum, "LinearSolver", CountedSolver)
+    monkeypatch.setattr(homology, "LinearSolver", CountedSolver)
     code, out, _ = run(capsys, "disjoint-union", "--a", "NilpotentLadder:2",
                        "--b", "NilpotentLadder:2")
     assert code == 0
     assert "kernel-symmetry-samples: 6\n" in out
     assert "kernel-symmetry-all-true: true\n" in out
-    assert len(built) == 1
+    assert built == []
 
 
 def test_disjoint_union_validates_each_factor_once(capsys, monkeypatch):
@@ -379,8 +384,8 @@ def test_dimension_reports_run_no_homology_bases(capsys, monkeypatch, argv):
 
 
 def test_disjoint_union_homology_dims_add_no_homology_call(capsys, monkeypatch):
-    # ladders have d = 0, so the kernel-symmetry samples reduce neither
-    # factor and homology() never runs; --homology adds nothing on the union
+    # ladders have d = 0, so neither factor is reduced and homology() never
+    # runs; --homology reads the union's rank counts, which are taken anyway
     sizes = _count_homology_calls(monkeypatch)
     argv = ["disjoint-union", "--a", "NilpotentLadder:2", "--b", "NilpotentLadder:3"]
     assert run(capsys, *argv)[0] == 0
@@ -458,8 +463,8 @@ def _count_union_work(monkeypatch):
 @pytest.mark.parametrize("homology", [False, True])
 def test_disjoint_union_of_reduced_factors_builds_one_union(capsys, monkeypatch,
                                                             homology):
-    # a factor with d = 0 is its own homology, so the union built for the
-    # report is the one whose cycles are sampled
+    # a factor with d = 0 is its own homology, so nothing is reduced and
+    # the one union is built on the loaded factors
     calls = _count_union_work(monkeypatch)
     argv = ["disjoint-union", "--a", "NilpotentLadder:2", "--b", "NilpotentLadder:3"]
     code, out, _ = run(capsys, *(argv + ["--homology"] * homology))
@@ -470,7 +475,7 @@ def test_disjoint_union_of_reduced_factors_builds_one_union(capsys, monkeypatch,
 
 def test_disjoint_union_reduces_factors_with_a_differential(tmp_path, capsys,
                                                             monkeypatch):
-    # factors with d != 0 are reduced and united again, as before
+    # factors with d != 0 are reduced, and only their reductions are united
     paths = []
     rng = random.Random(4)
     while len(paths) < 2:
@@ -484,7 +489,7 @@ def test_disjoint_union_reduces_factors_with_a_differential(tmp_path, capsys,
                        "--file-b", paths[1])
     assert code == 0
     assert "kernel-symmetry-all-true: true\n" in out
-    assert calls == {"union": 2, "reduce": 2}
+    assert calls == {"union": 1, "reduce": 2}
 
 
 def test_connect_sum_search_assembles_once(capsys, monkeypatch):
@@ -732,6 +737,27 @@ def _cli_env():
     return env
 
 
+def test_dense_self_union_homology_does_not_hang(tmp_path):
+    # a 7200-generator union whose full-size ranks took about 58 s; the
+    # union of the reduced factors has the same homology
+    rng = random.Random(7)
+    data = fixtures.random_admissible(rng, max_gens=60)
+    while data.size != 60 or data.complex.differential.is_zero():
+        data = fixtures.random_admissible(rng, max_gens=60)
+    path = tmp_path / "dense.fx"
+    path.write_text(fixtures.serialize(data))
+    proc = subprocess.run(
+        [sys.executable, "-m", "floer_workbench.cli", "disjoint-union", "--file-a",
+         str(path), "--file-b", str(path), "--homology"],
+        capture_output=True, text=True, env=_cli_env(), timeout=10)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    dims = union_dims_oracle(data, data)
+    assert "generators: 7200\n" in proc.stdout
+    assert ("homology-dims: %s\n" % " ".join("%d:%d" % rd for rd in sorted(dims.items()))
+            in proc.stdout)
+
+
 def test_eta_refuses_oversized_class_without_hanging():
     # its one block would need every class member up to norm 128
     proc = subprocess.run(
@@ -872,6 +898,22 @@ def test_descent_obstruction_maps_to_domain_error(tmp_path, capsys):
     code, _, err = run(capsys, "reduce", "--file", str(doc))
     assert code == 1
     assert "descend" in err or "descent" in err
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (("disjoint-union", "--a", "NilpotentLadder:1", "--file-a", "X",
+      "--b", "NilpotentLadder:1"), "--a or --file-a"),
+    (("connect-sum", "--a", "Pplus", "--b", "Pplus", "--file-b", "X"),
+     "--b or --file-b"),
+    (("verify-sum-bound", "--a", "NilpotentLadder:1", "--b", "NilpotentLadder:1",
+      "--c", "NilpotentLadder:1", "--file-c", "X"), "--c or --file-c"),
+    (("homology", "--fixture", "Pplus", "--file", "X"), "--fixture or --file"),
+], ids=lambda v: v[0] if isinstance(v, tuple) else v)
+def test_two_sources_for_one_input_name_its_flags(capsys, argv, flags):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err == "usage error: pass %s, not both\n" % flags
 
 
 def test_connect_sum_usage_requires_factors(capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from floer_workbench import connect_sum
+from floer_workbench import cli, connect_sum
 from floer_workbench.complexes import GradedComplex
 from floer_workbench.connect_sum import (
     DEFAULT_SIGNS,
@@ -15,7 +15,6 @@ from floer_workbench.connect_sum import (
     build_triple_cycle,
     connected_sum_complex,
     disjoint_union_complex,
-    extended_u,
     kernel_symmetry_check,
     sign_search,
     verify_sum_bound,
@@ -25,11 +24,14 @@ from floer_workbench.fixtures import (
     random_admissible,
     random_homology_sphere,
     random_nilpotent_phi,
+    serialize,
 )
-from floer_workbench.homology import _rank_counts, homology, reduce_to_homology
+from floer_workbench.homology import (_rank_counts, cycle_basis, homology,
+                                      reduce_to_homology)
 from floer_workbench.invariants import NotNilpotent
 from floer_workbench.linalg import (
     RatMatrix,
+    _int_product,
     kernel_basis,
     vec_add,
     vec_scale,
@@ -37,6 +39,7 @@ from floer_workbench.linalg import (
     vector,
 )
 from cycle_reference import reference_pair_cycle, reference_triple_cycle
+from union_reference import extended_u
 from markowitz import markowitz_rank
 from square_terms import (constraint_terms, signed_square, square_terms,
                           term_verdicts)
@@ -583,14 +586,60 @@ def test_union_homology_matches_kernel_cokernel_oracle():
         assert nonzero_dims(homology(built.total)) == union_dims_oracle(a, b)
 
 
+def _acyclic_admissible(rng):
+    """An admissible factor with d != 0 whose reduction has no generators."""
+    while True:
+        data = random_admissible(rng, max_gens=5)
+        if not reduce_to_homology(data).size:
+            return data
+
+
+def union_theorem_pairs(seed):
+    """Admissible pairs for the statements disjoint-union reports without
+    building the full union: seeded factors, acyclic factors, which reduce
+    to no generators, and ladders built with u_param 1 and 2."""
+    rng = random.Random(seed)
+    pairs = [(random_admissible(rng, max_gens=8), random_admissible(rng, max_gens=8))
+             for _ in range(48)]
+    acyclic = _acyclic_admissible(rng)
+    pairs += [(acyclic, random_admissible(rng, max_gens=6)), (ladder(2), acyclic),
+              (acyclic, acyclic)]
+    pairs += [(builtin("NilpotentLadder:%d" % k, u_param=p),
+               builtin("NilpotentLadder:%d" % kk, u_param=p))
+              for p in (1, 2) for k, kk in ((1, 3), (2, 2))]
+    return pairs
+
+
 def test_extended_u_is_chain_map():
+    """disjoint-union prints extended-u-commutes as a theorem; u (x) I
+    commutes with d on every full union, also by the integer products the
+    CLI used to compare."""
     rng = random.Random(31)
-    for _ in range(15):
-        built = disjoint_union_complex(random_admissible(rng),
-                                       random_admissible(rng))
+    pairs = [(random_admissible(rng), random_admissible(rng)) for _ in range(15)]
+    for a, b in pairs + union_theorem_pairs(41):
+        built = disjoint_union_complex(a, b)
         ue = extended_u(built)
         d = built.total.differential
         assert (d @ ue - ue @ d).is_zero()
+        assert _int_product(d, ue) == _int_product(ue, d)
+
+
+def test_cli_union_dims_are_the_full_unions(tmp_path, capsys):
+    """The dims disjoint-union reads off the reduced factors' union are the
+    rank counts of the full union."""
+    for i, (a, b) in enumerate(union_theorem_pairs(43)):
+        paths = []
+        for side, data in (("a", a), ("b", b)):
+            paths.append(tmp_path / ("%d%s.fx" % (i, side)))
+            paths[-1].write_text(serialize(data))
+        assert cli.main(["disjoint-union", "--file-a", str(paths[0]),
+                         "--file-b", str(paths[1]), "--homology"]) == 0
+        out = capsys.readouterr().out
+        cycles, boundaries = _rank_counts(disjoint_union_complex(a, b).total)
+        dims = [(r, cycles[r] - boundaries[r]) for r in range(8)]
+        want = " ".join("%d:%d" % rd for rd in dims if rd[1]) or "none"
+        assert "homology-dims: %s\n" % want in out
+        assert "generators: %d\n" % (2 * a.size * b.size) in out
 
 
 def test_extended_u_squares_to_four_on_p_type_factors():
@@ -615,18 +664,22 @@ def test_extended_u_rejects_other_shapes():
 
 
 def test_kernel_symmetry_on_reduced_cycles():
+    """On the union of reduced factors every S1 difference that
+    kernel_symmetry_check tests is zero, so no cycle can fail it."""
     rng = random.Random(2024)
+    pairs = [(random_admissible(rng), random_admissible(rng)) for _ in range(12)]
     checked = 0
-    for _ in range(12):
-        a = reduce_to_homology(random_admissible(rng))
-        b = reduce_to_homology(random_admissible(rng))
-        built = disjoint_union_complex(a, b)
-        from floer_workbench.homology import cycle_basis
+    for a, b in pairs + union_theorem_pairs(47):
+        ra, rb = reduce_to_homology(a), reduce_to_homology(b)
+        built = disjoint_union_complex(ra, rb)
+        nb, o4 = rb.size, built.offsets[3]
         for r in range(8):
             for z in cycle_basis(built.total, r):
+                z1 = {divmod(p, nb): v for p, v in z.items() if p < o4}
+                assert _u_differences((ra, rb), z1) == {}
                 assert kernel_symmetry_check(built, [z])
                 checked += 1
-    assert checked >= 40
+    assert checked >= 200
 
 
 def test_kernel_symmetry_rejects_non_cycles():
@@ -683,7 +736,6 @@ def _is_boundary_by_rank(built, w):
 def test_kernel_symmetry_matches_rank_oracle():
     """On unreduced unions the placements of u can disagree in homology;
     single cycles and whole lists must get the oracle's answer."""
-    from floer_workbench.homology import cycle_basis
     rng = random.Random(5)
     answers, list_answers = [], set()
     for _ in range(200):
@@ -717,7 +769,6 @@ def test_kernel_symmetry_tests_one_s1_difference_per_cycle(monkeypatch):
     difference is one, so each cycle costs one query: its S1 difference
     (u (x) I - I (x) u') z1, placed on S1.  Dropping the S1 difference and
     keeping the S4 one instead fails here."""
-    from floer_workbench.homology import cycle_basis
     queried = []
     original = connect_sum.LinearSolver.contains
 
