@@ -122,8 +122,10 @@ SIGN_NAMES = ("s12", "s13", "s14", "s24", "s34")
 
 # The most generators a sum or union complex may have.  The nPplusModel:40
 # self-sum has 12960; the nPplusModel:49 one (19404) is built and certified
-# in about 0.1 s, and --search --homology on it takes about 4.4 s and 38 MB,
-# almost all in the degree-block ranks (Python 3.11, 2 CPUs).
+# in about 0.1 s, and --search --homology on it takes about 0.2 s and 37 MB
+# as a subprocess, since its degree blocks peel without elimination
+# (Python 3.11, 2 CPUs).  Dense sums do not peel: a 60-generator admissible
+# self-sum has only 7200 generators and ranks for minutes.
 SUM_GENERATOR_CAP = 20000
 
 

@@ -10,10 +10,12 @@ Reports that print only dimensions need no basis: with n_r generators in
 degree r, dim H_r = n_r - rank d_r - rank d_(r+1), where d_r is the block
 of degree-r columns.  As d lowers degree by one, the nonzero rows of that
 block are exactly d's rows in degree r - 1, so _rank_counts groups d's
-cached integer rows by degree and takes one forward-only rank per nonempty
-degree block on its row group (linalg._row_rank); no column block is
-built.  homology() stays the path for representatives and the oracle for
-those counts.
+cached integer rows by degree and takes one rank per nonempty degree block
+on its row group (linalg._row_rank): a column-singleton peel, then
+forward-only elimination of the rows it leaves.  The blocks of the
+nPplusModel:k self-sums peel completely, with no elimination.  No column
+block is built.  homology() stays the path for representatives and the
+oracle for those counts.
 
 Representatives are picked degree by degree: seed an exact solver with the
 boundary basis, then sweep the cycle basis and keep each cycle's reduced

@@ -28,13 +28,14 @@ multiple of a row of the reduced row echelon form of the span, so results
 depend neither on the order, the path nor the positive scale of the input
 rows.  rref_rows, kernel_basis and image_basis read that basis;
 LinearSolver keeps one incrementally, with each row's expression over the
-added vectors riding along under negative keys.  rank runs the same
-updates forward only, without back-substitution, and counts the rows kept;
-so can any group of a matrix's rows (_row_rank), such as the rows of one
-degree that homology._rank_counts ranks.  The independent checks, kept with
-the tests, are a Fraction elimination with Markowitz pivoting
-(tests/markowitz.py) and a Fraction reference of every matrix operation
-(tests/fraction_matmul.py).
+added vectors riding along under negative keys.  rank first peels every
+row that alone holds some column, with no arithmetic, then runs the same
+updates forward only, without back-substitution, on the rows left and
+counts the rows kept; so can any group of a matrix's rows (_row_rank), such
+as the rows of one degree that homology._rank_counts ranks.  The
+independent checks, kept with the tests, are a Fraction elimination with
+Markowitz pivoting (tests/markowitz.py) and a Fraction reference of every
+matrix operation (tests/fraction_matmul.py).
 """
 
 from __future__ import annotations
@@ -330,22 +331,51 @@ def outer(v: Vector, f: Vector, rows: int, cols: int) -> RatMatrix:
 
 
 def rank(m: RatMatrix) -> int:
-    """Rank of m by forward-only elimination of its integer rows, with no
-    back-substitution.
+    """Rank of m from its integer rows: a column-singleton peel, then
+    forward-only elimination of the rows left, with no back-substitution.
 
-    The rows are copies of m's integer rows.  Each kept row is zero at the
-    pivots of the rows kept before it, so one pass over the kept rows in
-    insertion order clears a new row at every pivot: clearing a later pivot
-    never brings back an earlier one.
+    The peel (the first step of structured Gaussian elimination,
+    LaMacchia-Odlyzko, CRYPTO '90) is exact.  If a row r alone holds column
+    c among the rows M, r is outside the span of M - r, whose rows are all
+    zero at c; so rank(M) = 1 + rank(M - r).  Removing r can leave another
+    column with a single row, and the peel repeats until none is left.
+
+    The rows left are eliminated in their original order, on copies of m's
+    integer rows.  Each kept row is zero at the pivots of the rows kept
+    before it, so one pass over the kept rows in insertion order clears a
+    new row at every pivot: clearing a later pivot never brings back an
+    earlier one.  Rows with no column singleton go through exactly that
+    loop, as if there were no peel.
     """
     return _row_rank(m._row_view().values())
 
 
 def _row_rank(rows: Iterable[dict]) -> int:
-    """Rank of integer rows, as rank eliminates them; each row is copied
-    before it is changed, so cached rows can be passed as they are."""
+    """Rank of integer rows, as rank computes it: the number peeled plus the
+    number kept.  No row is changed, so cached rows can be passed as they
+    are."""
+    rows = list(rows)
+    holders = {}  # column -> positions of the live rows holding it
+    for i, row in enumerate(rows):
+        for c in row:
+            holders.setdefault(c, set()).add(i)
+    work = [c for c, held in holders.items() if len(held) == 1]
+    peeled = set()
+    while work:
+        held = holders[work.pop()]
+        if not held:  # its row was peeled through another column
+            continue
+        i = held.pop()
+        peeled.add(i)
+        for c in rows[i]:
+            held = holders[c]
+            held.discard(i)
+            if len(held) == 1:
+                work.append(c)
     kept = []  # (pivot, primitive integer row), in insertion order
-    for raw in rows:
+    for i, raw in enumerate(rows):
+        if i in peeled:
+            continue
         row = dict(raw)
         for pivot, other in kept:
             if pivot in row:
@@ -353,7 +383,7 @@ def _row_rank(rows: Iterable[dict]) -> int:
         if row:
             _primitive(row)
             kept.append((min(row), row))
-    return len(kept)
+    return len(peeled) + len(kept)
 
 
 def _primitive(row: dict) -> None:

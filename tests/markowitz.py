@@ -3,7 +3,13 @@
 Exact Fraction elimination with Markowitz pivoting: a different pivot
 order, different arithmetic and no back-substitution, so a test comparing
 its rank with linalg's cannot pass through a shared fault.
+
+forward_rank_reference is not independent: it is linalg's forward rank
+loop as it stood before the column-singleton peel, kept to pin the
+eliminations _row_rank runs on rows that do not peel.
 """
+
+from floer_workbench.linalg import _eliminate, _primitive
 
 
 def markowitz_rank(entries: dict) -> int:
@@ -48,3 +54,21 @@ def markowitz_rank(entries: dict) -> int:
             if not row:
                 del rows[r]
     return rank
+
+
+def forward_rank_reference(rows) -> tuple:
+    """(rank, eliminations) of the forward loop with no peel: each row, in
+    order, cleared at the pivots of the rows kept before it.  eliminations
+    lists (pivot, len(row)) for each _eliminate call, in call order."""
+    eliminations = []
+    kept = []  # (pivot, primitive integer row), in insertion order
+    for raw in rows:
+        row = dict(raw)
+        for pivot, other in kept:
+            if pivot in row:
+                eliminations.append((pivot, len(row)))
+                _eliminate(row, other, pivot)
+        if row:
+            _primitive(row)
+            kept.append((min(row), row))
+    return len(kept), eliminations

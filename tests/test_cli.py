@@ -758,6 +758,19 @@ def test_dense_self_union_homology_does_not_hang(tmp_path):
             in proc.stdout)
 
 
+def test_largest_self_sum_search_does_not_hang():
+    # 19404 generators under SUM_GENERATOR_CAP; its degree blocks peel, where
+    # the forward elimination alone took about 3 s
+    spec = "nPplusModel:49"
+    proc = subprocess.run(
+        [sys.executable, "-m", "floer_workbench.cli", "connect-sum", "--a", spec,
+         "--b", spec, "--search", "--homology"],
+        capture_output=True, text=True, env=_cli_env(), timeout=2)
+    assert proc.returncode == 0
+    assert "homology-dims: 0:98 4:98\n" in proc.stdout
+    assert "accepted-configs: 32\n" in proc.stdout
+
+
 def test_eta_refuses_oversized_class_without_hanging():
     # its one block would need every class member up to norm 128
     proc = subprocess.run(

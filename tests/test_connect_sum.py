@@ -26,12 +26,13 @@ from floer_workbench.fixtures import (
     random_nilpotent_phi,
     serialize,
 )
-from floer_workbench.homology import (_rank_counts, cycle_basis, homology,
-                                      reduce_to_homology)
+from floer_workbench.homology import (_degree_blocks, _rank_counts, cycle_basis,
+                                      homology, reduce_to_homology)
 from floer_workbench.invariants import NotNilpotent
 from floer_workbench.linalg import (
     RatMatrix,
     _int_product,
+    _row_rank,
     kernel_basis,
     vec_add,
     vec_scale,
@@ -324,6 +325,34 @@ def test_sign_search_matches_full_square_oracle():
     for a, b in seeded_pairs(2024):
         expected = full_square_accepted(a, b)
         assert sign_search(a, b) == expected
+
+
+def test_sum_block_ranks_match_oracles():
+    """_row_rank on d's rows of each degree, as _rank_counts takes them,
+    against rank-nullity through kernel_basis and the Markowitz oracle on
+    the column block: the nPplusModel:k self-sums, which peel completely,
+    and the orbit totals of seeded searches of all four summand shapes."""
+    totals = []
+    for k in range(1, 13):
+        model = builtin("nPplusModel:%d" % k)
+        totals.append(connected_sum_complex(model, model).total)
+    shapes = set()
+    for a, b in seeded_pairs(2718, per_shape=2):
+        built, _, orbit_totals = connect_sum._search(a, b, DEFAULT_SIGNS)
+        shapes.add(built.shape)
+        totals += orbit_totals.values()
+    assert shapes == {(1, 4), (1, 2, 4), (1, 3, 4), (1, 2, 3, 4)}
+    blocks = 0
+    for cx in totals:
+        d = cx.differential
+        rows = d._row_view()
+        for r, cols in _degree_blocks(cx).items():
+            below = [line for i, line in rows.items() if cx.degrees[i] == (r - 1) % 8]
+            block = d.restrict_columns(cols)
+            assert (_row_rank(below) == len(cols) - len(kernel_basis(block))
+                    == markowitz_rank(block.entries))
+            blocks += 1
+    assert blocks > 150
 
 
 def test_search_totals_match_full_construction_and_homology():

@@ -1,3 +1,4 @@
+import copy
 import importlib
 import random
 from fractions import Fraction
@@ -308,6 +309,32 @@ def test_rank_counts_take_one_rank_per_block(monkeypatch):
                 for deg in cx.dims_by_degree()]
     assert sorted(calls) == sorted(expected)
     assert len(calls) == 4 and sum(n for _, n in calls) > 0
+
+
+def test_self_sum_blocks_peel_without_elimination(monkeypatch):
+    # every degree block of these self-sums peels completely; the forward
+    # loop alone ran 108, 520 and 1300 eliminations on them
+    linalg = importlib.import_module("floer_workbench.linalg")
+    calls = []
+    monkeypatch.setattr(linalg, "_eliminate", lambda *args: calls.append(1))
+    for k, generators in ((4, 144), (8, 544), (12, 1200)):
+        model = builtin("nPplusModel:%d" % k)
+        cx = connected_sum_complex(model, model).total
+        cycles, boundaries = _rank_counts(cx)
+        assert len(cx.degrees) == generators
+        assert cycles[0] - boundaries[0] == cycles[4] - boundaries[4] == 2 * k
+        assert calls == []
+
+
+def test_rank_counts_leave_cached_lines_intact():
+    model = builtin("nPplusModel:4")
+    rng = random.Random(5)
+    for cx in (connected_sum_complex(model, model).total,
+               random_admissible(rng).complex, random_graded_complex(rng, 9)):
+        d = cx.differential
+        before = [copy.deepcopy(x) for x in (d._ints, d._row_view(), d._column_view())]
+        _rank_counts(cx)
+        assert [d._ints, d._row_view(), d._column_view()] == before
 
 
 def test_package_attribute_is_the_homology_module():

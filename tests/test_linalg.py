@@ -1,6 +1,8 @@
+import copy
 import math
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -9,6 +11,7 @@ from floer_workbench.linalg import (
     LinearSolver,
     RatMatrix,
     _int_product,
+    _row_rank,
     dot,
     image_basis,
     invert,
@@ -35,7 +38,7 @@ from fraction_matmul import (
     fraction_sub,
     fraction_transpose,
 )
-from markowitz import markowitz_rank
+from markowitz import forward_rank_reference, markowitz_rank
 
 
 def dense(rows):
@@ -186,6 +189,155 @@ def test_rank_runs_forward_only(monkeypatch):
     monkeypatch.setattr(linalg, "_reduce", refuse)
     m = dense([[0, 2, 4, 1], [0, 1, 2, 0], [3, 0, 1, 1], [3, 2, 5, 2]])
     assert rank(m) == markowitz_rank(m.entries) == 3
+
+
+def _random_line(rng, cols, density):
+    line = {}
+    for c in cols:
+        if rng.random() < density:
+            line[c] = rng.choice([-1, 1]) * rng.randint(1, 9)
+    return line
+
+
+def _singleton_chain(rng):
+    """Rows that peel completely: row i holds column i and only columns
+    below it, so the last live row always holds the largest column alone."""
+    n = rng.randint(1, 12)
+    rows = []
+    for i in range(n):
+        line = _random_line(rng, range(i), 0.5)
+        line[i] = rng.choice([-3, -1, 1, 2])
+        rows.append(line)
+    return rows
+
+
+def _dense_core(rng, n, cols):
+    """n >= 2 rows holding every one of cols, some of them combinations of
+    the others, so no column is a singleton."""
+    rows = []
+    while len(rows) < n:
+        if len(rows) >= 2 and rng.random() < 0.3:
+            a, b = rng.sample(rows, 2)
+            x, y = rng.randint(1, 3), rng.choice([-2, -1, 1])
+            line = {c: x * a[c] + y * b[c] for c in cols}
+            if all(line.values()):
+                rows.append(line)
+        else:
+            rows.append({c: rng.choice([-1, 1]) * rng.randint(1, 9) for c in cols})
+    return rows
+
+
+def _partial_peel(rng):
+    """A dense core plus chain rows, each with a private column, that also
+    touch the core's columns: the chain peels and the core is eliminated."""
+    core_cols = list(range(rng.randint(2, 5)))
+    rows = _dense_core(rng, rng.randint(2, 6), core_cols)
+    for j in range(rng.randint(1, 6)):
+        line = _random_line(rng, core_cols, 0.6)
+        line[100 + j] = rng.randint(1, 5)
+        rows.append(line)
+    rng.shuffle(rows)
+    return rows
+
+
+def _holders(rows):
+    """column -> how many of the rows hold it."""
+    return Counter(c for line in rows for c in line)
+
+
+def _no_singleton(rng):
+    """Random rows with every column held by at least two of them."""
+    rows = [_random_line(rng, range(rng.randint(1, 8)), 0.45)
+            for _ in range(rng.randint(2, 9))]
+    held = _holders(rows)
+    rows = [{c: v for c, v in line.items() if held[c] > 1} for line in rows]
+    return [line for line in rows if line]
+
+
+def _duplicated(rng):
+    """Rows, some of them repeated or scaled by a nonzero integer."""
+    rows = [_random_line(rng, range(6), 0.4) for _ in range(rng.randint(1, 5))]
+    rows = [line for line in rows if line] or [{0: 1}]
+    for _ in range(rng.randint(1, 5)):
+        k = rng.choice([1, 1, -1, 2, -3])
+        rows.append({c: k * v for c, v in rng.choice(rows).items()})
+    rng.shuffle(rows)
+    return rows
+
+
+PEEL_KINDS = (_singleton_chain, _partial_peel, _no_singleton, _duplicated)
+
+
+def _matrix(rows):
+    """The matrix with these integer rows, as wide as their largest column."""
+    cols = 1 + max((c for line in rows for c in line), default=-1)
+    return RatMatrix(len(rows), cols, {(r, c): v for r, line in enumerate(rows)
+                                       for c, v in line.items()})
+
+
+def test_peeled_rank_matches_rank_nullity_and_markowitz():
+    """_row_rank against two paths that never peel: rank-nullity through
+    the back-substituting kernel_basis, and the Markowitz Fraction oracle."""
+    rng = random.Random(2803)
+    assert _row_rank([]) == 0
+    assert rank(RatMatrix.zero(0, 0)) == rank(RatMatrix.zero(3, 0)) == 0
+    for kind in PEEL_KINDS:
+        for _ in range(60):
+            rows = kind(rng)
+            m = _matrix(rows)
+            k = _row_rank(rows)
+            assert k == m.cols - len(kernel_basis(m)) == markowitz_rank(m.entries)
+            assert rank(m) == k
+            if kind is _singleton_chain:
+                assert k == len(rows)
+            if kind is _no_singleton:
+                assert 1 not in _holders(rows).values()
+
+
+def test_peeled_rank_eliminates_only_the_core(monkeypatch):
+    """Singleton chains peel with no elimination.  Otherwise _row_rank runs
+    exactly the eliminations of the forward loop with no peel
+    (tests/markowitz.py's copy) on the rows that do not peel, in their
+    order: all of them when no column is a singleton, the dense core of a
+    partial peel."""
+    from floer_workbench import linalg
+    seen = []
+    eliminate = linalg._eliminate
+
+    def recording(row, other, pivot):
+        seen.append((pivot, len(row)))
+        eliminate(row, other, pivot)
+
+    monkeypatch.setattr(linalg, "_eliminate", recording)
+    rng = random.Random(4711)
+    total = 0
+    for kind in PEEL_KINDS[:3]:
+        for _ in range(120):
+            rows = kind(rng)
+            seen.clear()
+            if kind is _singleton_chain:
+                assert _row_rank(rows) == len(rows)
+                assert seen == []
+                continue
+            core = [line for line in rows if max(line) < 100]  # _partial_peel's
+            core_rank, expected = forward_rank_reference(core)
+            assert seen == []  # the reference calls the unpatched eliminator
+            assert _row_rank(rows) == core_rank + len(rows) - len(core)
+            assert seen == expected
+            total += len(expected)
+    assert total > 400
+
+
+def test_rank_leaves_cached_lines_intact():
+    """The peel reads a matrix's cached integer lines and never changes
+    one: the entries and both line views are as they were."""
+    rng = random.Random(99)
+    for kind in PEEL_KINDS:
+        for _ in range(10):
+            m = _matrix(kind(rng))
+            before = [copy.deepcopy(x) for x in (m._ints, m._row_view(), m._column_view())]
+            rank(m)
+            assert [m._ints, m._row_view(), m._column_view()] == before
 
 
 def test_matmul_and_power():
