@@ -429,39 +429,45 @@ def cmd_eta(args) -> int:
     rep.add("class", args.cls)
     rep.add("blocks", w.blocks)
     rep.add("norm", lattice.norm(w))
-    result = lattice.eta(w, keep_vectors=args.list)
+    result, listed = lattice._eta_members(w, args.list)
     if not result.extremal:
         sys.stderr.write("warning: eta evaluated at a non-extremal vector\n")
     rep.add("vectors", int(result.count))
     rep.add("count", result.count)
     rep.add("all-in-class", result.all_in_class)
-    for i, coords in enumerate(_vector_coords(result.vectors, args.json, lattice.BLOCK)):
+    for i, coords in enumerate(_vector_coords(listed, args.json)):
         rep.add("vector %d" % i, coords)
     rep.emit(args.json)
     return 0
 
 
-def _vector_coords(vectors, as_json: bool, block_size: int) -> list:
-    """Each vector's coordinates as the report prints them.
+class _MemberTexts(dict):
+    """Block member -> its coordinates as the report prints them, each
+    member formatted on first use: one string for the text report, the
+    per-coordinate list for --json."""
 
-    Listed vectors repeat a few block members many times, so each distinct
-    member is formatted once and a vector is built from its blocks' texts:
-    one string for the text report, the per-coordinate list for --json.
+    def __init__(self, as_json: bool):
+        super().__init__()
+        self.as_json = as_json
+
+    def __missing__(self, block):
+        # doubled coordinates: c/2 is an integer when c is even
+        coords = [str(c // 2) if c % 2 == 0 else "%d/2" % c for c in block]
+        text = self[block] = coords if self.as_json else " ".join(coords)
+        return text
+
+
+def _vector_coords(listed, as_json: bool) -> list:
+    """Each listed vector's coordinates as the report prints them.
+
+    listed holds tuples of block members.  They repeat a few members many
+    times, so each distinct member is formatted once and a vector is
+    joined from its blocks' texts.
     """
-    texts = {}
-    out = []
-    for v in vectors:
-        parts = []
-        for start in range(0, len(v.doubled), block_size):
-            block = v.doubled[start:start + block_size]
-            text = texts.get(block)
-            if text is None:
-                # doubled coordinates: c/2 is an integer when c is even
-                coords = [str(c // 2) if c % 2 == 0 else "%d/2" % c for c in block]
-                text = texts[block] = coords if as_json else " ".join(coords)
-            parts.append(text)
-        out.append(sum(parts, []) if as_json else " ".join(parts))
-    return out
+    text = _MemberTexts(as_json).__getitem__
+    if as_json:
+        return [sum(map(text, members), []) for members in listed]
+    return [" ".join(map(text, members)) for members in listed]
 
 
 def cmd_extremal(args) -> int:

@@ -132,11 +132,16 @@ def triangular_independence(f: Vector, alpha: Vector, u0: RatMatrix) -> int:
     the first t + 1 pullbacks of f are triangularly independent against the
     iterates of alpha, so the span has dimension at least t + 1.  Returns
     that bound, or 0 when every evaluation up to the ambient dimension
-    vanishes.
+    vanishes; an empty f or a zero iterate of alpha leaves every later
+    evaluation 0, so either ends the loop at once.
     """
+    if not f:
+        return 0
     u2 = u0 @ u0
     current = dict(alpha)
     for j in range(u0.rows + 1):
+        if not current:
+            return 0
         if dot(f, current):
             return j + 1
         current = u2.apply(current)

@@ -20,20 +20,35 @@ The blocks are orthogonal, so the number of class members of norm w^2 is
 the coefficient of that norm in the product over blocks of each block's
 series sum_q #{members of norm q} x^q (Conway-Sloane, SPLAG ch. 4 sec. 8.1;
 Serre, A Course in Arithmetic ch. VII).  `eta` counts by this convolution
-and never builds a full-length vector unless its vectors are asked for;
-only then are the block members combined into vectors under the exact
-total-norm target, sorted by coordinates.  Listing is refused above
-LIST_CAP vectors.
+and never builds a full-length vector unless its vectors are asked for.
 
-Every class of E8/2E8 has minimal norm 0, 2 or 4 (SPLAG ch. 4 sec. 8.1),
-doubled 0, 8 or 16.  So a block's class minimum is searched under doubled
-norm 8 whatever the block's own norm: the search finds the minimum when it
-is 0 or 8, and finds nothing exactly when it is 16.  Within one call each
-distinct (block, budget) is searched once, so a class that repeats a block
-(w0^16) searches it once, and an extremal block whose minimum search
-already reached its own norm is not searched again for its members.  A
-class whose member search would go above _MEMBER_BUDGET_CAP is refused
-before any member search.
+Listing walks the blocks depth first.  Each block's members of every norm
+are merged into one list in coordinate order and tried in that order; a
+member is skipped when the norm it leaves is less than the later blocks'
+class minima add up to, and the last block takes only its members of the
+exact norm left.  Every block has 8 coordinates, so the tuples of block
+members come out in the order of their concatenations, sorted with no
+sort.  `eta` and `congruent_vectors` concatenate each tuple into a vector;
+the CLI formats each distinct block member once and joins the texts.
+Listing is refused above LIST_CAP vectors.
+
+A block's class minimum needs no search.  On E8, q(v) = v.v/2 is an
+integer and q(v + 2e) = q(v) + 2 v.e + 4 q(e), so q mod 2 is constant on
+each class of E8/2E8.  Every class has minimal norm 0, 2 or 4: 2E8 itself,
+the 120 classes of a pair of opposite roots, and 135 classes of 16 norm-4
+vectors each, 1 + 120 + 135 = 256 (SPLAG ch. 4 sec. 8.1).  A root has
+q = 1 and a norm-4 vector has q = 2, so a class other than 2E8 has minimal
+norm 2 when q is odd on it and 4 when q is even.  In doubled coordinates c
+the block lies in 2E8 when every c_i is even and c/2 passes the E8 test,
+and q = sum(c_i^2)/8; so the doubled minimum is 0 there, else 8 when
+sum(c_i^2) = 8 (mod 16), else 16.  Only class members are searched, each
+distinct (block, budget) once within one call, so a class that repeats a
+block (w0^16) searches it once.  A class whose member search would go
+above _MEMBER_BUDGET_CAP is refused before any member search.
+
+A block member is checked against its block of w by one test on tuples,
+which `same_class` shares: the member is in E8, the difference is even,
+and half of the difference is in E8.
 """
 
 from __future__ import annotations
@@ -196,10 +211,11 @@ def parse_vector(spec: str) -> LatticeVector:
     return concat(*([base] * reps))
 
 
-def _block_ok(block: tuple) -> bool:
+def _block_ok(block) -> bool:
     parity = block[0] % 2
-    if any(c % 2 != parity for c in block):
-        return False
+    for c in block:
+        if c % 2 != parity:
+            return False
     return sum(block) % 4 == 0
 
 
@@ -218,20 +234,27 @@ def norm(v: LatticeVector) -> Fraction:
     return -Fraction(sum(c * c for c in v.doubled), 4)
 
 
+def _block_congruent(vb: tuple, wb: tuple) -> bool:
+    """vb is in E8 and congruent to the block wb mod 2*E8: the difference
+    is even and half of it is in E8."""
+    if not _block_ok(vb):
+        return False
+    half = []
+    for a, b in zip(vb, wb):
+        d = a - b
+        if d % 2:
+            return False
+        half.append(d // 2)
+    return _block_ok(half)
+
+
 def same_class(v: LatticeVector, w: LatticeVector) -> bool:
     """True when (v - w) / 2 lies in the lattice."""
     require_member(v)
     require_member(w)
     if v.blocks != w.blocks:
         raise LatticeError("block counts differ")
-    half = []
-    for a, b in zip(v.doubled, w.doubled):
-        d = a - b
-        if d % 2:
-            return False
-        half.append(d // 2)
-    return all(_block_ok(tuple(half[BLOCK * b:BLOCK * (b + 1)]))
-               for b in range(v.blocks))
+    return all(_block_congruent(v.block(b), w.block(b)) for b in range(v.blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -276,12 +299,6 @@ def _block_class_members(wb: tuple, budget_q: int) -> dict:
     return {q: sorted(vs) for q, vs in sorted(found.items())}
 
 
-# Every class of E8/2E8 has minimal norm 0, 2 or 4, doubled 0, 8 or 16, and
-# doubled norms of E8 vectors are multiples of 8.  A search under this budget
-# therefore finds the class minimum when it is 0 or 8; when it finds nothing,
-# the minimum is 16.
-_CLASS_MIN_BUDGET = 8
-
 # The largest doubled norm a class member search may reach (norm 32): the
 # class of 4,4,0,0,0,0,0,0 has 26641 block members up to it and counts in
 # about half a second, while budgets 200, 288 and 512 give 115278, 522001
@@ -300,15 +317,12 @@ def _searcher():
     return search
 
 
-def _block_class_min(wb: tuple, search=None) -> int:
-    """Least doubled norm in the class of one block.
-
-    search, when given, is the calling operation's _searcher(), so that the
-    members found here serve a later search of the same budget.
-    """
-    own = sum(c * c for c in wb)
-    members = (search or _block_class_members)(wb, min(own, _CLASS_MIN_BUDGET))
-    return min(members) if members else 16
+def _block_class_min(wb: tuple) -> int:
+    """Least doubled norm in the class of the E8 block wb: 0 on 2*E8, else
+    8 or 16 as q = sum(c^2)/8 is odd or even (module docstring)."""
+    if all(c % 2 == 0 for c in wb) and _block_ok([c // 2 for c in wb]):
+        return 0
+    return 8 if sum(c * c for c in wb) % 16 == 8 else 16
 
 
 def _class_groups(w: LatticeVector) -> tuple:
@@ -323,14 +337,14 @@ def _class_groups(w: LatticeVector) -> tuple:
     """
     target = sum(c * c for c in w.doubled)
     blocks = [w.block(b) for b in range(w.blocks)]
-    search = _searcher()
-    mins = [_block_class_min(wb, search) for wb in blocks]
+    mins = [_block_class_min(wb) for wb in blocks]
     slack = target - sum(mins)
     budget = max(mins) + slack
     if budget > _MEMBER_BUDGET_CAP:
         raise LatticeError("the class needs block members up to |v^2| = %d, "
                            "beyond the %d that can be searched"
                            % (budget // 4, _MEMBER_BUDGET_CAP // 4))
+    search = _searcher()
     return target, [search(wb, q + slack) for wb, q in zip(blocks, mins)]
 
 
@@ -356,39 +370,46 @@ def _members_in_class(w: LatticeVector, per_block: list) -> bool:
     vector the groups combine into, one distinct block at a time.
     """
     distinct = {w.block(b): groups for b, groups in enumerate(per_block)}
-    for block, groups in distinct.items():
-        wb = LatticeVector(1, block)
-        if not all(same_class(LatticeVector(1, member), wb)
-                   for members in groups.values() for member in members):
-            return False
-    return True
+    return all(_block_congruent(member, wb)
+               for wb, groups in distinct.items()
+               for members in groups.values() for member in members)
 
 
-def _combine(w: LatticeVector, target: int, per_block: list) -> list:
-    """The block members combined into vectors of doubled norm target.
+def _combine(target: int, per_block: list):
+    """The block members combined into vectors of doubled norm target:
+    tuples of one member per block, in coordinate order.
 
-    per_block is what _class_groups(w) returns; sorted by coordinates.
+    per_block is what _class_groups returns.  Each block tries its members
+    of every norm in coordinate order, so the tuples come out sorted as
+    their concatenations sort.
     """
-    suffix_min = [0] * (w.blocks + 1)
-    for b in range(w.blocks - 1, -1, -1):
+    last = len(per_block) - 1
+    suffix_min = [0] * (last + 2)
+    for b in range(last, -1, -1):
         suffix_min[b] = suffix_min[b + 1] + min(per_block[b])
+    # equal blocks share one groups dict, so one merged line
+    merged = {}
+    for groups in per_block[:last]:
+        if id(groups) not in merged:
+            merged[id(groups)] = sorted(
+                (member, q) for q, members in groups.items() for member in members)
+    lines = [merged[id(groups)] for groups in per_block[:last]]
 
-    def combine(b, remaining, head, out):
-        groups = per_block[b]
-        if b == w.blocks - 1:
-            for vec in groups.get(remaining, ()):
-                out.append(head + vec)
+    def walk(b, remaining, head):
+        if b == last:
+            for member in per_block[b].get(remaining, ()):
+                yield head + (member,)
             return
-        for q, vecs in groups.items():
-            if q + suffix_min[b + 1] > remaining:
-                break
-            for vec in vecs:
-                combine(b + 1, remaining - q, head + vec, out)
+        room = remaining - suffix_min[b + 1]
+        for member, q in lines[b]:
+            if q <= room:
+                yield from walk(b + 1, remaining - q, head + (member,))
+    return walk(0, target, ())
 
-    results = []
-    combine(0, target, (), results)
-    results.sort()
-    return [LatticeVector._trusted(w.blocks, tup) for tup in results]
+
+def _vector(blocks: int, members: tuple) -> LatticeVector:
+    """The vector of a tuple of block members from _combine."""
+    return LatticeVector._trusted(blocks, tuple([c for m in members for c in m]))
 
 
 def congruent_vectors(w: LatticeVector) -> list:
@@ -397,24 +418,41 @@ def congruent_vectors(w: LatticeVector) -> list:
     Complete by the definiteness of the form; sorted by coordinates.
     """
     require_member(w)
-    target, per_block = _class_groups(w)
-    return _combine(w, target, per_block)
+    return [_vector(w.blocks, members) for members in _combine(*_class_groups(w))]
 
 
 def is_extremal(w: LatticeVector) -> bool:
     """Minimality of |w^2| within the class of w mod twice the lattice.
 
     Blocks are orthogonal, so the class minimum is the sum of the per-block
-    class minima.
+    class minima, each in closed form.
     """
     require_member(w)
     own = sum(c * c for c in w.doubled)
-    search = _searcher()
-    return sum(_block_class_min(w.block(b), search) for b in range(w.blocks)) == own
+    return sum(_block_class_min(w.block(b)) for b in range(w.blocks)) == own
 
 
 # vectors: tuple, count: Fraction, all_in_class: bool, extremal: bool
 EtaResult = namedtuple("EtaResult", "vectors count all_in_class extremal")
+
+
+def _eta_members(w: LatticeVector, listing: bool) -> tuple:
+    """(eta(w, keep_vectors=False), the listed vectors as tuples of block
+    members from _combine, or () when not listing); LatticeError, before
+    any vector is built, when listing a class of more than LIST_CAP."""
+    require_member(w)
+    target, per_block = _class_groups(w)
+    count = _series_coefficient(target, per_block)
+    members = ()
+    if listing:
+        if count > LIST_CAP:
+            raise LatticeError("the class has %d vectors, more than the %d "
+                               "that can be listed" % (count, LIST_CAP))
+        members = _combine(target, per_block)
+    result = EtaResult(vectors=(), count=Fraction(count),
+                       all_in_class=_members_in_class(w, per_block),
+                       extremal=sum(min(groups) for groups in per_block) == target)
+    return result, members
 
 
 def eta(w: LatticeVector, keep_vectors: bool = True) -> EtaResult:
@@ -423,11 +461,13 @@ def eta(w: LatticeVector, keep_vectors: bool = True) -> EtaResult:
     Every vector is weighted +1, so count is the number of vectors.  count
     is read off the convolution of the per-block member series (see the
     module docstring), and all_in_class checks every block member against
-    its block of w with same_class; neither builds a full-length vector.
-    extremal tells whether w is extremal in its class; a count at a
+    its block of w with the congruence test that same_class uses; neither
+    builds a full-length vector.  extremal tells whether w is extremal in
+    its class, from the closed-form class minima; a count at a
     non-extremal w is still returned, and the CLI warns on stderr.
-    keep_vectors (the default) adds the vectors themselves, combined from
-    the same block members and sorted as congruent_vectors sorts them.
+    keep_vectors (the default) adds the vectors themselves, walked from
+    the same block members in coordinate order, sorted as
+    congruent_vectors sorts them.
     Listing is refused with LatticeError, before any vector is built, for
     a class of more than LIST_CAP vectors, so a default eta(w) raises there
     (w0^5 and up); a caller who needs only the count passes
@@ -440,19 +480,12 @@ def eta(w: LatticeVector, keep_vectors: bool = True) -> EtaResult:
     one thread; the CLI's `eta --workers` is accepted and ignored and
     reaches no parameter here.
     """
-    require_member(w)
-    target, per_block = _class_groups(w)
-    count = _series_coefficient(target, per_block)
-    vectors = ()
+    result, members = _eta_members(w, keep_vectors)
     if keep_vectors:
-        if count > LIST_CAP:
-            raise LatticeError("the class has %d vectors, more than the %d "
-                               "that can be listed" % (count, LIST_CAP))
-        vectors = tuple(_combine(w, target, per_block))
-        assert len(vectors) == count
-    return EtaResult(vectors=vectors, count=Fraction(count),
-                     all_in_class=_members_in_class(w, per_block),
-                     extremal=sum(min(groups) for groups in per_block) == target)
+        vectors = tuple([_vector(w.blocks, m) for m in members])
+        assert len(vectors) == result.count
+        result = result._replace(vectors=vectors)
+    return result
 
 
 def min_charge_k(w: LatticeVector) -> int:

@@ -656,8 +656,8 @@ def test_usage_errors_repeat_identically(capsys, monkeypatch, argv):
 
 
 def test_extremal_class_minimum_search_is_capped(capsys, monkeypatch):
-    # the block's own doubled norm is 128; its class minimum is searched
-    # under 16, so the answer comes at once
+    # the block's own doubled norm is 128; its class minimum is closed
+    # form, so the answer comes at once with no search
     budgets = []
     search = lattice._block_class_members
 
@@ -669,7 +669,7 @@ def test_extremal_class_minimum_search_is_capped(capsys, monkeypatch):
     code, out, _ = run(capsys, "extremal", "--class", "8,8,0,0,0,0,0,0")
     assert code == 0
     assert "extremal: false\n" in out
-    assert budgets and max(budgets) <= 16
+    assert budgets == []
 
 
 def test_eta_list_refused_above_cap(capsys):
@@ -689,17 +689,16 @@ def test_lattice_jobs_search_each_distinct_block_once(capsys, monkeypatch):
         return search(wb, budget_q)
 
     monkeypatch.setattr(lattice, "_block_class_members", recorded)
-    # one block repeated 16 times; nothing of norm 2 or less in its class
+    # one block repeated 16 times; class minima are closed form
     code, out, _ = run(capsys, "extremal", "--class", "w0^16")
     assert code == 0
     assert "extremal: true\n" in out
-    assert budgets == [8]
-    budgets.clear()
-    # the minimum search, then the members up to the minimum it implies
+    assert budgets == []
+    # the members up to the closed-form minimum, once for the three blocks
     code, out, _ = run(capsys, "eta", "--class", "w0^3", "--list")
     assert code == 0
     assert out.count("\nvector ") == 4096
-    assert budgets == [8, 16]
+    assert budgets == [16]
 
 
 def reference_list_report(capsys, spec, as_json):
@@ -780,6 +779,19 @@ def test_eta_refuses_oversized_class_without_hanging():
     assert proc.stdout == b""
     assert proc.stderr == (b"error: the class needs block members up to "
                            b"|v^2| = 128, beyond the 32 that can be searched\n")
+
+
+def test_eta_lists_at_the_cap_without_hanging():
+    # w0^4 holds LIST_CAP = 65536 vectors, the largest listing allowed
+    proc = subprocess.run(
+        [sys.executable, "-m", "floer_workbench.cli", "eta", "--class", "w0^4",
+         "--list"], capture_output=True, env=_cli_env(), timeout=5)
+    assert proc.returncode == 0 and proc.stderr == b""
+    vectors = [line for line in proc.stdout.decode().splitlines()
+               if line.startswith("vector ")]
+    assert len(vectors) == 65536
+    assert vectors[0] == "vector 0: " + " ".join(["-1 -1 -1 -1 0 0 0 0"] * 4)
+    assert vectors[-1] == "vector 65535: " + " ".join(["1 1 1 1 0 0 0 0"] * 4)
 
 
 def test_eta_refuses_oversized_power_without_building_it():

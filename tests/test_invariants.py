@@ -6,8 +6,12 @@ import pytest
 from floer_workbench.complexes import dualize
 from floer_workbench.fixtures import (
     builtin,
+    distinguished_generators,
+    fixture_names,
     random_nilpotent_phi,
+    random_valid,
 )
+from floer_workbench.homology import DescentObstruction, reduce_to_homology
 from floer_workbench.invariants import (
     NotNilpotent,
     h_invariant,
@@ -17,7 +21,7 @@ from floer_workbench.invariants import (
     phi_span,
     triangular_independence,
 )
-from floer_workbench.linalg import RatMatrix
+from floer_workbench.linalg import RatMatrix, dot
 
 
 def test_span_equals_filtration_on_random_nilpotent():
@@ -129,3 +133,69 @@ def test_triangular_independence_counts_ladder_steps():
 def test_phi_span_zero_for_zero_class():
     data = builtin("Pplus")
     assert phi_span(data.u, {}) == 0
+
+
+def reference_triangular_independence(f, alpha, u0):
+    """triangular_independence as it ran every evaluation, with no early
+    exit for an empty f or a zero iterate of alpha."""
+    u2 = u0 @ u0
+    current = dict(alpha)
+    for j in range(u0.rows + 1):
+        if dot(f, current):
+            return j + 1
+        current = u2.apply(current)
+    return 0
+
+
+def _triangular_cases():
+    """(f, alpha, u) on every builtin at orders 1-16, their duals, and
+    seeded reduced data: the CLI's delta and delta_prime, each fixture's
+    distinguished generators, and seeded sparse vectors."""
+    datas = []
+    for name in fixture_names():
+        try:
+            builtin(name + ":1")
+            specs = ["%s:%d" % (name, k) for k in range(1, 17)]
+        except (KeyError, ValueError):  # takes no order
+            specs = [name]
+        for spec in specs:
+            data = builtin(spec)
+            datas += [(spec, data), (spec, dualize(data))]
+    rng = random.Random(2029)
+    while len(datas) < 160:
+        try:
+            datas.append(("seeded", reduce_to_homology(random_valid(rng))))
+        except DescentObstruction:
+            pass
+    for spec, data in datas:
+        yield data.delta, data.delta_prime, data.u
+        gens = distinguished_generators(spec) if spec != "seeded" else {}
+        marked = {role: {data.complex.index_of(g): Fraction(1)}
+                  for role, g in gens.items() if g in data.complex.names}
+        for f in (data.delta, marked.get("functional", {})):
+            for alpha in (data.delta_prime, marked.get("vector", {})):
+                yield f, alpha, data.u
+        n = data.size
+        for _ in range(3):
+            f = {i: Fraction(rng.randint(-2, 2)) for i in rng.sample(range(n), min(n, 2))}
+            alpha = {i: Fraction(rng.randint(1, 3)) for i in rng.sample(range(n), min(n, 2))}
+            yield {i: c for i, c in f.items() if c}, alpha, data.u
+
+
+def test_triangular_independence_matches_reference_loop(monkeypatch):
+    seen = set()
+    cases = 0
+    for f, alpha, u in _triangular_cases():
+        bound = triangular_independence(f, alpha, u)
+        assert bound == reference_triangular_independence(f, alpha, u)
+        seen.add(min(bound, 2))
+        cases += 1
+    assert cases >= 500 and seen == {0, 1, 2}
+    applied = []
+    apply = RatMatrix.apply
+    monkeypatch.setattr(RatMatrix, "apply",
+                        lambda m, v: applied.append(1) or apply(m, v))
+    data = builtin("nPplusModel:16")
+    assert data.delta == {}
+    assert triangular_independence(data.delta, data.delta_prime, data.u) == 0
+    assert applied == []

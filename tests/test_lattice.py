@@ -28,6 +28,7 @@ from floer_workbench.lattice import (
     same_class,
     zero,
 )
+from lattice_reference import combine_by_sort
 
 
 def brute_force_class(w, bound=2):
@@ -280,12 +281,10 @@ def test_e8_classes_mod_2_split_1_120_135():
 
 
 def test_capped_class_minimum_matches_uncapped_search():
-    """_block_class_min searches under doubled norm 8.  Every class of
-    E8/2E8 has minimal norm 0, 2 or 4, doubled 0, 8 or 16, so that search
-    finds a minimum of 0 or 8 and finds nothing exactly when the minimum is
-    16.  The search up to the block's own norm finds the same minimum, on a
-    representative of each of the 256 classes, on the same representative
-    moved up by 2 * (2, 0, ..., 0), and on seeded blocks up to norm 16."""
+    """_block_class_min is closed form and searches nothing.  The search
+    up to the block's own norm finds the same minimum, on a representative
+    of each of the 256 classes, on the same representative moved up by
+    2 * (2, 0, ..., 0), and on seeded blocks up to norm 16."""
     budgets = []
     search = lattice._block_class_members
 
@@ -301,7 +300,7 @@ def test_capped_class_minimum_matches_uncapped_search():
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(lattice, "_block_class_members", recorded)
                 capped = lattice._block_class_min(wb)
-            assert budgets == [min(own, 8)]
+            assert budgets == []
             assert capped == min(lattice._block_class_members(wb, own))
     rng = random.Random(1616)
     above_cap = 0
@@ -318,6 +317,68 @@ def test_capped_class_minimum_matches_uncapped_search():
         assert lattice._block_class_min(wb) == min(lattice._block_class_members(wb, own))
         above_cap += own > 16
     assert above_cap >= 100
+
+
+def test_closed_form_class_minima_split_1_120_135():
+    # the closed form alone on one representative of each of the 256
+    # classes: 2*E8, 120 root classes and 135 norm-4 classes
+    profile = {}
+    for bits in itertools.product((0, 1), repeat=8):
+        rep = tuple(sum(b * row[i] for b, row in zip(bits, E8_BASIS))
+                    for i in range(8))
+        low = lattice._block_class_min(rep)
+        profile[low] = profile.get(low, 0) + 1
+    assert profile == {0: 1, 8: 120, 16: 135}
+    # and constant on each class, at its least norm on the full grid
+    for members in e8_classes_mod_2().values():
+        low = min(doubled_norm(d) for d in members)
+        assert {lattice._block_class_min(d) for d in members} == {low}
+
+
+def searched_class_min(wb):
+    """Least doubled norm in the class of wb, by member searches under the
+    budgets 0, 8, 16, ... up to the block's own norm, where wb is found."""
+    for budget in range(0, doubled_norm(wb) + 1, 8):
+        members = lattice._block_class_members(wb, budget)
+        if members:
+            return min(members)
+
+
+def test_closed_form_class_minimum_matches_search_on_seeded_blocks():
+    rng = random.Random(2029)
+    seen = {}
+    for _ in range(2400):
+        while True:
+            parity = rng.randint(0, 1)
+            block = [2 * rng.randint(-3, 3) + parity for _ in range(8)]
+            if sum(block) % 4:
+                block[rng.randrange(8)] += 2
+            if doubled_norm(block) <= 64:
+                break
+        wb = tuple(block)
+        low = lattice._block_class_min(wb)
+        assert low == searched_class_min(wb), wb
+        key = (low, doubled_norm(wb) > 16)
+        seen[key] = seen.get(key, 0) + 1
+    # every minimum above norm 4; at or below it only 0 lies in 2*E8
+    assert {q for q, above in seen if above} == {0, 8, 16}
+    assert {q for q, above in seen if not above} >= {8, 16}
+    assert sum(n for (_, above), n in seen.items() if above) >= 2000
+
+
+def test_walk_matches_concatenate_and_sort():
+    classes = [LatticeVector(1, min(members)) for members in e8_classes_mod_2().values()]
+    classes += seeded_mixed_classes()
+    classes += [parse_vector("w0^4"), from_coords((4, 4, 0, 0, 0, 0, 0, 0))]
+    total = 0
+    for w in classes:
+        target, per_block = lattice._class_groups(w)
+        walked = list(lattice._combine(target, per_block))
+        assert all(len(members) == w.blocks for members in walked)
+        reference = combine_by_sort(w, target, per_block)
+        assert [tuple(c for m in members for c in m) for members in walked] == reference, w
+        total += len(walked)
+    assert total > 65536 + 17520
 
 
 def test_class_members_sum_to_e8_theta_series():
@@ -411,22 +472,36 @@ def test_eta_count_builds_one_block_vectors_only(monkeypatch):
     result = eta(w, keep_vectors=False)
     assert result.count == 16 ** 6
     assert result.all_in_class
-    # one per member of the one distinct block (16) and one for that block
-    assert built == [1] * (16 + 1)
+    # block members are checked as tuples
+    assert built == []
 
 
 def test_all_in_class_comes_from_same_class(monkeypatch):
+    # same_class and all_in_class share one per-block congruence test
     checked = []
+    congruent = lattice._block_congruent
 
-    def refuse(v, w):
-        checked.append(v.blocks)
+    def refuse(vb, wb):
+        checked.append(wb)
         return False
 
-    monkeypatch.setattr(lattice, "same_class", refuse)
+    monkeypatch.setattr(lattice, "_block_congruent", refuse)
     assert not eta(concat(W0, ROOT), keep_vectors=False).all_in_class
-    assert checked == [1]
+    assert checked == [W0.doubled]
     assert not eta(concat(W0, ROOT)).all_in_class
-    assert checked == [1, 1]
+    assert checked == [W0.doubled] * 2
+    assert not same_class(W0, W0)
+
+    def refuse_root(vb, wb):
+        checked.append(wb)
+        return wb != ROOT.doubled and congruent(vb, wb)
+
+    # each distinct block's members once: 16 for the W0 blocks, then the
+    # first member of the ROOT block is refused
+    checked.clear()
+    monkeypatch.setattr(lattice, "_block_congruent", refuse_root)
+    assert not eta(concat(W0, W0, ROOT, W0), keep_vectors=False).all_in_class
+    assert checked == [W0.doubled] * 16 + [ROOT.doubled]
 
 
 def test_eta_refuses_to_list_above_cap(monkeypatch):
@@ -464,17 +539,15 @@ def test_repeated_blocks_are_searched_once(monkeypatch):
         return search(wb, budget_q)
 
     monkeypatch.setattr(lattice, "_block_class_members", recorded)
-    # norm-4 block: nothing under 8, so the minimum is 16 and the members
-    # need a second search
+    # class minima are closed form: only the members are searched
     assert eta(concat(*([W0] * 3))).count == 16 ** 3
-    assert calls == [(W0.doubled, 8), (W0.doubled, 16)]
-    # root block: the minimum search already holds every member
+    assert calls == [(W0.doubled, 16)]
     calls.clear()
     assert eta(concat(*([ROOT] * 16)), keep_vectors=False).count == 2 ** 16
     assert calls == [(ROOT.doubled, 8)]
     calls.clear()
     assert is_extremal(concat(W0, ROOT, W0, zero(1), ROOT))
-    assert calls == [(W0.doubled, 8), (ROOT.doubled, 8), ((0,) * 8, 0)]
+    assert calls == []
 
 
 def test_member_search_above_cap_is_refused_before_searching(monkeypatch):
