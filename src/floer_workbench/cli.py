@@ -57,9 +57,9 @@ COMMAND_TABLE = {
 }
 
 
-# largest builtin fixture order each command takes; at the cap one run
-# takes about 1 s as a subprocess (Python 3.11, 2 shared CPUs), with
-# verify-sum-bound's triple mode the slowest use of its cap
+# largest builtin fixture order each command takes; as a subprocess (Python
+# 3.11, 2 shared CPUs) a run at the cap takes about 0.1 s for phi and h, and
+# 0.2-0.4 s for the verify-sum-bound triple, the slowest (start-up is 0.07 s)
 ORDER_CAPS = {"phi": 200, "h": 180, "verify-sum-bound": 48}
 
 # largest --max-n poly-identities takes; the telescoping checks for

@@ -574,33 +574,29 @@ def build_triple_cycle(a: FloerData, b: FloerData, c: FloerData,
     return _kernel_cycle((a, b, c), wa, (wb, wc), n)
 
 
-def _functional_order(f: Vector, n_op: RatMatrix, limit: int) -> int:
-    """Least k with f o N^k = 0."""
+def _pullbacks(f: Vector, n_op: RatMatrix, limit: int) -> list:
+    """[f, f o N, ..., f o N^(k-1)] for the least k with f o N^k = 0: its
+    length is the functional filtration order."""
+    pulls = []
     current = dict(f)
-    k = 0
     while current:
-        if k > limit:
+        if len(pulls) > limit:
             raise ValueError("functional filtration does not terminate")
+        pulls.append(current)
         current = n_op.apply_functional(current)
-        k += 1
-    return k
+    return pulls
 
 
-def _find_witness(data: FloerData, f: Vector, k: int) -> Vector:
-    """Degree-1 vector with f(N^i v) = 0 for i <= k - 2 and != 0 at k - 1.
+def _find_witness(data: FloerData, pulls: list) -> Vector:
+    """Degree-1 vector with f(N^i v) = (f o N^i)(v) = 0 for i <= k - 2 and
+    != 0 at k - 1, where pulls = _pullbacks(f, ...) has length k.
 
     Scans the canonical kernel basis of the lower functionals, so the choice
     is deterministic for fixed data.
     """
     ones = data.complex.indices_in_degree(1)
     local = {g: t for t, g in enumerate(ones)}
-    n_op = n_map(data.u)
-    rows = []
-    current = dict(f)
-    for _ in range(k - 1):
-        rows.append(current)
-        current = n_op.apply_functional(current)
-    top = current  # f o N^(k-1)
+    rows, top = pulls[:-1], pulls[-1]
     constraint = RatMatrix(len(rows), len(ones),
                            {(r, local[g]): v for r, row in enumerate(rows)
                             for g, v in row.items() if g in local})
@@ -634,8 +630,8 @@ def _odd_nilpotency(data: FloerData) -> tuple:
 
 
 def _prepare_factor(data: FloerData, f: Optional[Vector], n: int, label: str,
-                    nilpotency: Optional[tuple] = None):
-    """Functional, N and functional order of one factor, checked against n.
+                    nilpotency: Optional[tuple] = None) -> list:
+    """_pullbacks of one factor's functional, N's order checked against n.
 
     nilpotency is _odd_nilpotency(data) when the caller has it already.
     """
@@ -654,8 +650,7 @@ def _prepare_factor(data: FloerData, f: Optional[Vector], n: int, label: str,
         order = None
     if order is None or order > n:
         raise ValueError("(u^2 - 4)^%d does not vanish on the %s factor" % (n, label))
-    k = _functional_order(f, n_op, data.size)
-    return f, n_op, k
+    return _pullbacks(f, n_op, data.size)
 
 
 def verify_sum_bound(a: FloerData, b: FloerData, c: Optional[FloerData] = None,
@@ -673,6 +668,10 @@ def verify_sum_bound(a: FloerData, b: FloerData, c: Optional[FloerData] = None,
     surviving term carries that on slot 0, and the check that the pairing
     is 2^-(m-1) times their product.  Negative level means the hypothesis
     fails and no bound is claimed: ValueError.
+
+    No power of N meets the tensor: <f_0 (x) ... (x) f_last, (1 (x) ... (x)
+    N^l) alpha> = <f_0 (x) ... (x) (f_last o N^l), alpha>, and l < k_last as
+    each order is at most n, so f_last o N^l is one of _pullbacks.
     """
     factors = [(a, fa, "left"), (b, fb, "middle" if c is not None else "right")]
     if c is not None:
@@ -688,7 +687,7 @@ def verify_sum_bound(a: FloerData, b: FloerData, c: Optional[FloerData] = None,
 
     prepared = [_prepare_factor(data, f, n, label, known)
                 for (data, f, label), known in zip(factors, nilpotency)]
-    orders = tuple([k for _, _, k in prepared])
+    orders = tuple([len(pulls) for pulls in prepared])
     level = sum(orders) - (m - 1) * n - 1
     if level < 0:
         raise ValueError(
@@ -697,21 +696,17 @@ def verify_sum_bound(a: FloerData, b: FloerData, c: Optional[FloerData] = None,
             % (orders, n, level))
 
     datas = [data for data, _, _ in factors]
-    witnesses = [_find_witness(data, f, k)
-                 for data, (f, _, k) in zip(datas, prepared)]
+    witnesses = [_find_witness(data, pulls) for data, pulls in zip(datas, prepared)]
     # the builders differ only in the first slot: a u-preimage or wa itself
     build, mode = ((build_pair_cycle, "pair") if m == 2
                    else (build_triple_cycle, "triple"))
     alpha = build(*datas, *witnesses, n)
     cycle_ok = not _u_differences(datas, alpha)
-    shifted = alpha
-    for _ in range(level):
-        shifted = _factor_apply(prepared[-1][1], m - 1, shifted)
-    pairing = _pairing([f for f, _, _ in prepared], shifted)
+    pairing = _pairing([pulls[0] for pulls in prepared[:-1]] + [prepared[-1][level]],
+                       alpha)
 
     witnesses[0] = _orbit(a.u, witnesses[0], 2 * (m - 2))[-1]
-    witness_values = tuple([dot(f, _orbit(n_op, w, k - 1)[-1])
-                            for (f, n_op, k), w in zip(prepared, witnesses)])
+    witness_values = tuple([dot(pulls[-1], w) for pulls, w in zip(prepared, witnesses)])
     expected = Fraction(math.prod(witness_values), 2 ** (m - 1))
     return SumBoundReport(mode=mode, n=n, orders=orders, level=level,
                           cycle_ok=cycle_ok, pairing=pairing,

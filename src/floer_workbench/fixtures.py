@@ -482,6 +482,7 @@ def parse(text: str, check: bool = True) -> FloerData:
     validation report.
     """
     sections = {name: [] for name in SECTION_NAMES}
+    headers = set()  # a section may be present and empty
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         stripped = raw.strip()
@@ -493,6 +494,7 @@ def parse(text: str, check: bool = True) -> FloerData:
             if sections[first] and current != first:
                 raise ParseError(lineno, first_col, "duplicate section %r" % (first,))
             current = first
+            headers.add(first)
             continue
         if current is None:
             raise ParseError(lineno, first_col,
@@ -519,7 +521,7 @@ def parse(text: str, check: bool = True) -> FloerData:
                          "kind must be homology_sphere or admissible, got %r"
                          % (kind_token,)) from None
 
-    if not sections["generators"]:
+    if "generators" not in headers:
         raise ParseError(1, 1, "missing generators section")
     names = []
     degrees = []

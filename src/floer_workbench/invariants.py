@@ -3,7 +3,7 @@
 phi has two equivalent faces on a class psi: the dimension of the span of
 the even u-iterates of psi, and the least k with (u^2 - 4)^k psi = 0.  They
 agree whenever (u^2 - 4) is nilpotent on the cyclic subspace generated by
-psi, which phi_filtration checks and reports through NotNilpotent.
+psi; phi_report reads both, and that gate, off one walk under u^2 - 4.
 
 h compares two spans built from the boundary functionals of reduced data:
 the even u-pullbacks of delta against the even u-iterates of delta_prime(1).
@@ -39,13 +39,13 @@ def nilpotency_order(m: RatMatrix) -> int:
     raise NotNilpotent("matrix power %d is still nonzero" % (m.rows + 1,))
 
 
-def _span_of_iterates(op: RatMatrix, start: Vector) -> int:
-    """Krylov span dimension; stops at the first dependent iterate."""
+def _span_of_iterates(op: RatMatrix, start: Vector) -> tuple:
+    """(Krylov span dimension, first dependent iterate) of start under op."""
     solver = LinearSolver()
     current = dict(start)
     while solver.add(current) is not None:
         current = op.apply(current)
-    return solver.dim
+    return solver.dim, current
 
 
 def phi_span(u0: RatMatrix, psi: Vector) -> int:
@@ -54,7 +54,7 @@ def phi_span(u0: RatMatrix, psi: Vector) -> int:
     The iteration stops at the first dependent vector; the span is invariant
     under u^2 from that point on.
     """
-    return _span_of_iterates(u0 @ u0, psi)
+    return _span_of_iterates(u0 @ u0, psi)[0]
 
 
 def phi_filtration(u0: RatMatrix, psi: Vector) -> int:
@@ -86,17 +86,20 @@ class PhiReport(namedtuple("PhiReport",
 
 
 def phi_report(u0: RatMatrix, psi: Vector) -> PhiReport:
-    """Both phi readings plus the nilpotency gate, in one report.
+    """Both phi readings plus the nilpotency gate, from one walk of psi
+    under N = u^2 - 4.  As u^(2j) = sum_i C(j, i) 4^(j-i) N^i, the first m
+    iterates of u^2 and of N span alike, so the walk's dim is phi_span.  If
+    N^k psi = 0, k least, the k iterates before it are independent (the
+    cyclic-subspace lemma, Hoffman-Kunze ch. 7): the gate passes exactly
+    when the first dependent iterate is 0, and then dim is phi_filtration.
 
     For the functional reading pass u0 transposed and the functional
     written as a vector in place of psi.
     """
-    span = phi_span(u0, psi)
-    try:
-        order = phi_filtration(u0, psi)
-    except NotNilpotent:
+    span, dependent = _span_of_iterates(n_map(u0), psi)
+    if dependent:
         return PhiReport(span, False, None, None)
-    return PhiReport(span, True, order, span == order)
+    return PhiReport(span, True, span, True)
 
 
 # dim_functional_span: delta under even u-pullbacks; dim_vector_span:
@@ -110,13 +113,12 @@ def h_invariant(data: FloerData) -> HReport:
 
     Requires a zero differential; reduce first otherwise.  The two spans
     cannot both be nonzero for data coming out of reduce_to_homology, and
-    the report carries that flag.
+    the report carries that flag.  Each span is phi_report's.
     """
     if not data.complex.differential.is_zero():
         raise ValueError("h_invariant needs reduced data (zero differential)")
-    u2 = data.u @ data.u
-    dim_f = _span_of_iterates(u2.transpose(), data.delta) if data.delta else 0
-    dim_v = _span_of_iterates(u2, data.delta_prime) if data.delta_prime else 0
+    dim_f = phi_report(data.u.transpose(), data.delta).span_dim if data.delta else 0
+    dim_v = phi_report(data.u, data.delta_prime).span_dim if data.delta_prime else 0
     return HReport(
         dim_functional_span=dim_f,
         dim_vector_span=dim_v,

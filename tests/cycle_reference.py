@@ -6,7 +6,13 @@ from scratch, and the triple cycle applies N to whole tensors for every
 (i, j).  connect_sum builds both through one shared m-factor path; a
 fault in the expansion, the powers or the summation there shows up as a
 mismatch with these.
+
+reference_shifted_pairing is the sum-bound pairing as it was first
+computed: N^level applied to the last slot of the whole tensor, then the
+product functional summed over it.
 """
+
+from fractions import Fraction
 
 from floer_workbench.invariants import n_map
 from floer_workbench.linalg import solve_columns, vec_add
@@ -83,3 +89,18 @@ def reference_triple_cycle(a, b, c, wa, wb, wc, n):
                 term = _factor_apply(nc_map, 2, term)
             alpha = vec_add(alpha, term)
     return alpha
+
+
+def reference_shifted_pairing(factors, fs, alpha, level):
+    """2^-(m-1) <f_0 (x) ... (x) f_last, (1 (x) ... (x) N^level) alpha>, with
+    N = u^2 - 4 of the last factor applied to the tensor level times."""
+    last = len(factors) - 1
+    n_last = n_map(factors[last].u)
+    for _ in range(level):
+        alpha = _factor_apply(n_last, last, alpha)
+    total = Fraction(0)
+    for key, v in alpha.items():
+        for f, i in zip(fs, key):
+            v *= f.get(i, 0)
+        total += v
+    return total / 2 ** last

@@ -770,6 +770,22 @@ def test_largest_self_sum_search_does_not_hang():
     assert "accepted-configs: 32\n" in proc.stdout
 
 
+@pytest.mark.parametrize("argv, line", [
+    (["h"], "dim-vector-span: 400\n"),
+    (["phi", "--class", "x4_1"], "filtration-order: 400\n"),
+])
+def test_phi_and_h_on_a_large_document_do_not_hang(tmp_path, argv, line):
+    # the nPplusModel:400 document is above the builtin caps of phi and h;
+    # a u^2 Krylov solve beside the N walk took 6-8 s on it
+    path = tmp_path / "ladder.fx"
+    path.write_text(fixtures.serialize(fixtures.builtin("nPplusModel:400")))
+    proc = subprocess.run(
+        [sys.executable, "-m", "floer_workbench.cli", *argv, "--file", str(path)],
+        capture_output=True, text=True, env=_cli_env(), timeout=2)
+    assert proc.returncode == 0
+    assert line in proc.stdout
+
+
 def test_eta_refuses_oversized_class_without_hanging():
     # its one block would need every class member up to norm 128
     proc = subprocess.run(

@@ -28,18 +28,20 @@ from floer_workbench.fixtures import (
 )
 from floer_workbench.homology import (_degree_blocks, _rank_counts, cycle_basis,
                                       homology, reduce_to_homology)
-from floer_workbench.invariants import NotNilpotent
+from floer_workbench.invariants import NotNilpotent, n_map
 from floer_workbench.linalg import (
     RatMatrix,
     _int_product,
     _row_rank,
+    dot,
     kernel_basis,
     vec_add,
     vec_scale,
     vec_sub,
     vector,
 )
-from cycle_reference import reference_pair_cycle, reference_triple_cycle
+from cycle_reference import (reference_pair_cycle, reference_shifted_pairing,
+                             reference_triple_cycle)
 from union_reference import extended_u
 from markowitz import markowitz_rank
 from square_terms import (constraint_terms, signed_square, square_terms,
@@ -1015,6 +1017,68 @@ def test_sum_bound_orders_each_factor_once(monkeypatch):
     pminus = builtin("Pminus")
     with pytest.raises(NotNilpotent):
         verify_sum_bound(pminus, ladder(1), fa=unit_functional(pminus, "rho1"))
+
+
+def test_sum_bound_never_shifts_the_tensor(monkeypatch):
+    """The only slot applications on the tensor are the cycle check's,
+    2(m - 1) of them whatever the level: N^level is pulled back onto the
+    last functional instead."""
+    calls = []
+    apply = connect_sum._factor_apply
+    monkeypatch.setattr(connect_sum, "_factor_apply",
+                        lambda op, axis, t: calls.append(axis) or apply(op, axis, t))
+    levels = set()
+    for ks in ((3, 3), (5, 5), (4, 6), (2, 2, 2), (4, 4, 4), (6, 6, 5)):
+        datas = [ladder(k) for k in ks]
+        fs = {name: unit_functional(d, "z%d" % k)
+              for name, d, k in zip(("fa", "fb", "fc"), datas, ks)}
+        calls.clear()
+        result = verify_sum_bound(*datas, **fs)
+        assert result.cycle_ok and result.product_matches
+        assert len(calls) == 2 * (len(ks) - 1)
+        levels.add(result.level)
+    assert levels == {1, 2, 3, 4}
+
+
+def test_sum_bound_pairing_matches_the_tensor_shift(monkeypatch):
+    """The pulled-back pairing and witness values against N applied to the
+    tensor and to the witnesses, on seeded pairs and triples of ladders,
+    random_nilpotent_phi factors and TrefoilLikeSynthetic, n <= 6, with
+    random degree-1 functionals."""
+    rng = random.Random(3103)
+    pool = _oracle_factors(rng)
+    built = []
+    for name in ("build_pair_cycle", "build_triple_cycle"):
+        monkeypatch.setattr(connect_sum, name,
+                            lambda *args, build=getattr(connect_sum, name):
+                            built.append((args, build(*args))) or built[-1][1])
+    checked = {2: 0, 3: 0}
+    nonzero = 0
+    for _ in range(80):
+        m = rng.choice((2, 3))
+        datas = [rng.choice(pool) for _ in range(m)]
+        fs = [_random_vector(rng, d, 1) for d in datas]
+        n = rng.choice((None, rng.randint(1, 6)))
+        try:
+            result = verify_sum_bound(*datas, n=n, **dict(zip(("fa", "fb", "fc"), fs)))
+        except ValueError:
+            continue
+        args, alpha = built[-1]
+        assert result.pairing == reference_shifted_pairing(datas, fs, alpha, result.level)
+        witnesses = list(args[m:2 * m])
+        if m == 3:  # the triple's first value carries u^2 on its witness
+            witnesses[0] = datas[0].u.apply(datas[0].u.apply(witnesses[0]))
+        values = []
+        for data, f, w, k in zip(datas, fs, witnesses, result.orders):
+            n_op = n_map(data.u)
+            for _ in range(k - 1):
+                w = n_op.apply(w)
+            values.append(dot(f, w))
+        assert result.witness_values == tuple(values)
+        assert result.cycle_ok and result.product_matches
+        checked[m] += 1
+        nonzero += result.nonzero
+    assert min(checked.values()) >= 10 and nonzero >= 20
 
 
 def test_sum_bound_reduces_inputs_first():

@@ -4,9 +4,11 @@ import re
 
 import pytest
 
-from floer_workbench import fixtures
-from floer_workbench.complexes import Kind, validate
+from floer_workbench import cli, fixtures
+from floer_workbench.complexes import Kind, structurally_equal, validate
 from floer_workbench.connect_sum import SUM_GENERATOR_CAP
+from floer_workbench.homology import reduce_to_homology
+from floer_workbench.invariants import h_invariant
 from floer_workbench.fixtures import (
     GENERATOR_CAP,
     ORDER_CAP,
@@ -121,6 +123,61 @@ def test_round_trip_random_documents():
         data = random_valid(rng)
         text = serialize(data)
         assert parse(text) == data
+
+
+def test_reduced_documents_round_trip():
+    """reduce's documents parse back, the acyclic ones (zero generators,
+    an empty generators section) among them."""
+    acyclic = 0
+    for seed in range(200):
+        data = reduce_to_homology(random_admissible(random.Random(seed)))
+        again = parse(serialize(data))
+        assert structurally_equal(again, data), seed
+        acyclic += again.size == 0
+    assert acyclic >= 50
+
+
+def test_empty_generators_section_is_zero_generator_data():
+    data = parse("kind\n  admissible\ngenerators\ndifferential\nu\n"
+                 "delta\ndelta_prime\n")
+    assert data.size == 0
+    assert validate(data).ok
+    assert reduce_to_homology(data).size == 0
+    assert h_invariant(data).h == 0
+    with pytest.raises(ParseError) as exc:
+        parse("kind\n  admissible\ndifferential\nu\n")
+    assert str(exc.value) == "line 1, column 1: missing generators section"
+
+
+def _cli_document(capsys, *argv):
+    assert cli.main(list(argv)) == 0
+    return capsys.readouterr().out
+
+
+def test_cli_documents_round_trip(capsys, tmp_path):
+    """Every document the fixtures command emits parses back to the data it
+    came from, and an acyclic reduce document validates."""
+    for spec in ALL_SPECS:
+        for u_param in (-3, 0, 2):
+            text = _cli_document(capsys, "fixtures", "--emit", spec,
+                                 "--u-param", str(u_param))
+            assert structurally_equal(parse(text), builtin(spec, u_param=u_param))
+    makers = {"admissible": random_admissible, "sphere": random_homology_sphere,
+              "valid": random_valid,
+              "nilpotent": lambda rng: random_nilpotent_phi(rng, 5)[0]}
+    for kind, make in makers.items():
+        for seed in range(5):
+            text = _cli_document(capsys, "fixtures", "--random", kind, "--seed",
+                                 str(seed), "--order", "5")
+            assert structurally_equal(parse(text), make(random.Random(seed)))
+    source = tmp_path / "acyclic.txt"
+    source.write_text(serialize(random_admissible(random.Random(5))))
+    reduced = tmp_path / "reduced.txt"
+    # reduce prints its report, a blank line, then the document
+    report = _cli_document(capsys, "reduce", "--file", str(source))
+    reduced.write_text(report.split("\n\n", 1)[1])
+    assert parse(reduced.read_text()).size == 0
+    assert _cli_document(capsys, "validate", "--file", str(reduced))
 
 
 def test_parse_reports_line_and_column():

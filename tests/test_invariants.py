@@ -199,3 +199,98 @@ def test_triangular_independence_matches_reference_loop(monkeypatch):
     assert data.delta == {}
     assert triangular_independence(data.delta, data.delta_prime, data.u) == 0
     assert applied == []
+
+
+def _reference_phi_report(u0, psi):
+    """phi_report from its two faces computed apart: the u^2 Krylov span
+    and the N-filtration loop."""
+    span = phi_span(u0, psi)
+    try:
+        order = phi_filtration(u0, psi)
+    except NotNilpotent:
+        return (span, False, None, None)
+    return (span, True, order, span == order)
+
+
+def _phi_cases():
+    """(u0, psi) in both modes: Pplus and Pminus at five u-params, the other
+    builtins, seeded nilpotent data with chain and random vectors, and
+    seeded reduced data, where the gate may fail."""
+    rng = random.Random(3101)
+    datas = [builtin(name, u_param=c) for name in ("Pplus", "Pminus")
+             for c in (-3, -1, 0, 1, 2)]
+    datas += [builtin(spec) for spec in ("TrefoilLikeSynthetic", "nPplusModel:4",
+                                         "NilpotentLadder:5")]
+    cases = []
+    for _ in range(40):
+        data, psi = random_nilpotent_phi(rng, rng.randint(1, 6))
+        cases.append((data.u, psi))
+        datas.append(data)
+    while len(datas) < 120:
+        try:
+            datas.append(reduce_to_homology(random_valid(rng)))
+        except DescentObstruction:
+            pass
+    for data in datas:
+        n = data.size
+        for u0 in (data.u, data.u.transpose()):
+            for i in range(min(n, 3)):
+                cases.append((u0, {rng.randrange(n): Fraction(1)}))
+            picks = rng.sample(range(n), min(n, 3))
+            cases.append((u0, {i: Fraction(rng.randint(1, 3), rng.randint(1, 2))
+                               for i in picks}))
+    return cases
+
+
+def test_phi_report_matches_its_two_faces():
+    gates = set()
+    for u0, psi in _phi_cases():
+        report = phi_report(u0, psi)
+        assert tuple(report) == _reference_phi_report(u0, psi)
+        gates.add(report.nilpotent_on_cycle)
+    assert gates == {True, False}
+
+
+def test_phi_report_walks_psi_once(monkeypatch):
+    """On NilpotentLadder:k phi_report applies N k times: N^k z1 = 0 is the
+    first dependent iterate, and no second walk runs beside it."""
+    applied = []
+    apply = RatMatrix.apply
+    monkeypatch.setattr(RatMatrix, "apply",
+                        lambda m, v: applied.append(1) or apply(m, v))
+    for k in (1, 2, 7, 30):
+        data = builtin("NilpotentLadder:%d" % k)
+        applied.clear()
+        report = phi_report(data.u, {data.complex.index_of("z1"): Fraction(1)})
+        assert tuple(report) == (k, True, k, True)
+        assert len(applied) == k
+
+
+def test_h_spans_match_the_u_squared_krylov_spans(monkeypatch):
+    """Each h span is the even-u span that phi_span computes on its own,
+    and h walks each of delta and delta_prime(1) once."""
+    rng = random.Random(3102)
+    datas = [builtin(name, u_param=c) for name in ("Pplus", "Pminus")
+             for c in (-3, -1, 0, 1, 2)]
+    datas += [builtin("TrefoilLikeSynthetic")]
+    datas += [builtin("%s:%d" % (name, k)) for name in ("nPplusModel", "NilpotentLadder")
+              for k in (1, 2, 5, 9)]
+    datas += [dualize(d) for d in datas]
+    while len(datas) < 100:
+        try:
+            datas.append(reduce_to_homology(random_valid(rng)))
+        except DescentObstruction:
+            pass
+    applied = []
+    apply = RatMatrix.apply
+    monkeypatch.setattr(RatMatrix, "apply",
+                        lambda m, v: applied.append(1) or apply(m, v))
+    for data in datas:
+        data = reduce_to_homology(data)
+        dim_f = phi_span(data.u.transpose(), data.delta)
+        dim_v = phi_span(data.u, data.delta_prime)
+        applied.clear()
+        result = h_invariant(data)
+        assert len(applied) == result.dim_functional_span + result.dim_vector_span
+        assert (result.dim_functional_span, result.dim_vector_span) == (dim_f, dim_v)
+        assert result.h == dim_f - dim_v
